@@ -863,7 +863,7 @@ func speedLeg(smoke bool) (speedBench, error) {
 	}
 	scanOnce := func() error {
 		var n int64
-		if _, _, err := lake.Engine().Scan("speed_t", plan, nil, func(r streamlake.Row) bool { n++; return true }); err != nil {
+		if _, _, err := lake.Engine().Scan("speed_t", plan, nil, nil, func(r streamlake.Row) bool { n++; return true }); err != nil {
 			return err
 		}
 		if n != 20000 {

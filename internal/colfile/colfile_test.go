@@ -300,7 +300,7 @@ func TestQuickInt64RoundTrip(t *testing.T) {
 		for i, v := range vals {
 			in[i] = IntValue(v)
 		}
-		enc := encodeInt64Chunk(in)
+		enc := appendInt64Chunk(nil, in)
 		out, err := decodeInt64Chunk(enc, len(in))
 		if err != nil {
 			return false
@@ -323,7 +323,7 @@ func TestQuickStringRoundTrip(t *testing.T) {
 		for i, v := range vals {
 			in[i] = StringValue(v)
 		}
-		enc := encodeStringChunk(in)
+		enc := appendStringChunk(nil, in)
 		out, err := decodeStringChunk(enc, len(in))
 		if err != nil {
 			return false

@@ -2,12 +2,12 @@ package colfile
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"streamlake/internal/compress"
 )
 
 // Column chunk encodings. Each chunk is encoded per its column type, then
@@ -21,17 +21,13 @@ const (
 	encDict
 )
 
-func encodeInt64Chunk(vals []Value) []byte {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
+func appendInt64Chunk(dst []byte, vals []Value) []byte {
 	prev := int64(0)
 	for _, v := range vals {
-		d := v.Int - prev
+		dst = binary.AppendVarint(dst, v.Int-prev)
 		prev = v.Int
-		n := binary.PutVarint(tmp[:], d)
-		buf.Write(tmp[:n])
 	}
-	return buf.Bytes()
+	return dst
 }
 
 func decodeInt64Chunk(data []byte, n int) ([]Value, error) {
@@ -53,12 +49,11 @@ func decodeInt64Chunk(data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func encodeFloat64Chunk(vals []Value) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v.Float))
+func appendFloat64Chunk(dst []byte, vals []Value) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
 	}
-	return out
+	return dst
 }
 
 func decodeFloat64Chunk(data []byte, n int) ([]Value, error) {
@@ -72,7 +67,7 @@ func decodeFloat64Chunk(data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func encodeStringChunk(vals []Value) []byte {
+func appendStringChunk(dst []byte, vals []Value) []byte {
 	// Try dictionary encoding: worthwhile when distinct values fit a
 	// byte and repeat.
 	dict := make(map[string]int)
@@ -85,34 +80,29 @@ func encodeStringChunk(vals []Value) []byte {
 			dict[v.Str] = len(dict)
 		}
 	}
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
 	if dict != nil && len(dict)*2 < len(vals) {
-		buf.WriteByte(encDict)
+		dst = append(dst, encDict)
 		// Dictionary block: count, then each entry.
 		words := make([]string, len(dict))
 		for w, i := range dict {
 			words[i] = w
 		}
-		n := binary.PutUvarint(tmp[:], uint64(len(words)))
-		buf.Write(tmp[:n])
+		dst = binary.AppendUvarint(dst, uint64(len(words)))
 		for _, w := range words {
-			n := binary.PutUvarint(tmp[:], uint64(len(w)))
-			buf.Write(tmp[:n])
-			buf.WriteString(w)
+			dst = binary.AppendUvarint(dst, uint64(len(w)))
+			dst = append(dst, w...)
 		}
 		for _, v := range vals {
-			buf.WriteByte(byte(dict[v.Str]))
+			dst = append(dst, byte(dict[v.Str]))
 		}
-		return buf.Bytes()
+		return dst
 	}
-	buf.WriteByte(encPlain)
+	dst = append(dst, encPlain)
 	for _, v := range vals {
-		n := binary.PutUvarint(tmp[:], uint64(len(v.Str)))
-		buf.Write(tmp[:n])
-		buf.WriteString(v.Str)
+		dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
+		dst = append(dst, v.Str...)
 	}
-	return buf.Bytes()
+	return dst
 }
 
 func decodeStringChunk(data []byte, n int) ([]Value, error) {
@@ -172,14 +162,18 @@ func decodeStringChunk(data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func encodeBoolChunk(vals []Value) []byte {
-	out := make([]byte, (len(vals)+7)/8)
+func appendBoolChunk(dst []byte, vals []Value) []byte {
+	var b byte
 	for i, v := range vals {
 		if v.Bool {
-			out[i/8] |= 1 << (i % 8)
+			b |= 1 << (i % 8)
+		}
+		if i%8 == 7 || i == len(vals)-1 {
+			dst = append(dst, b)
+			b = 0
 		}
 	}
-	return out
+	return dst
 }
 
 func decodeBoolChunk(data []byte, n int) ([]Value, error) {
@@ -193,37 +187,49 @@ func decodeBoolChunk(data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func encodeChunk(t Type, vals []Value) ([]byte, error) {
-	var raw []byte
-	switch t {
-	case Int64:
-		raw = encodeInt64Chunk(vals)
-	case Float64:
-		raw = encodeFloat64Chunk(vals)
-	case String:
-		raw = encodeStringChunk(vals)
-	case Bool:
-		raw = encodeBoolChunk(vals)
-	default:
-		return nil, fmt.Errorf("colfile: unknown type %v", t)
-	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// Codec is the coder state behind column chunks: one reusable DEFLATE
+// coder (a compress.Coder — the writer reset per chunk, the reader reset
+// through flate.Resetter) and one scratch buffer for a chunk's
+// uncompressed bytes. Without it every chunk would build a fresh flate
+// writer (hundreds of kilobytes of tables) or reader (tens of
+// kilobytes), so the cost of a file would scale with its chunk count
+// rather than its bytes.
+//
+// The zero value is ready to use. A Codec is not safe for concurrent
+// use, and neither are the Writers and Readers built from it. Scope one
+// Codec to one operation — a file, a transaction, a scan — never to the
+// process: a parked coder is live heap no request is using. The
+// package-level NewWriter and Open each take a fresh Codec, which still
+// serves every chunk of that file.
+type Codec struct {
+	fl  compress.Coder
+	raw []byte
 }
 
-func decodeChunk(t Type, data []byte, n int) ([]Value, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	raw, err := io.ReadAll(r)
+// encodeChunk appends the compressed encoding of one column chunk to
+// dst. The output is identical whether or not the Codec has been used
+// before.
+func (c *Codec) encodeChunk(dst *bytes.Buffer, t Type, vals []Value) error {
+	raw := c.raw[:0]
+	switch t {
+	case Int64:
+		raw = appendInt64Chunk(raw, vals)
+	case Float64:
+		raw = appendFloat64Chunk(raw, vals)
+	case String:
+		raw = appendStringChunk(raw, vals)
+	case Bool:
+		raw = appendBoolChunk(raw, vals)
+	default:
+		return fmt.Errorf("colfile: unknown type %v", t)
+	}
+	c.raw = raw
+	return c.fl.Deflate(dst, raw)
+}
+
+func (c *Codec) decodeChunk(t Type, data []byte, n int) ([]Value, error) {
+	raw, err := c.fl.Inflate(c.raw[:0], data)
+	c.raw = raw
 	if err != nil {
 		return nil, fmt.Errorf("colfile: decompress: %w", err)
 	}

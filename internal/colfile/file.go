@@ -60,22 +60,30 @@ type groupMeta struct {
 
 // Writer accumulates rows and serializes a columnar file.
 type Writer struct {
+	codec     *Codec
 	schema    Schema
 	groupSize int
 	buf       bytes.Buffer
 	pending   []Row
+	col       []Value // one column of the pending group, reused per column
 	groups    []groupMeta
 	numRows   int64
 	finished  bool
 }
 
-// NewWriter builds a writer for the schema; groupSize <= 0 selects
-// DefaultRowGroupSize.
+// NewWriter builds a writer for the schema with a fresh Codec;
+// groupSize <= 0 selects DefaultRowGroupSize.
 func NewWriter(schema Schema, groupSize int) *Writer {
+	return new(Codec).NewWriter(schema, groupSize)
+}
+
+// NewWriter builds a writer for the schema that compresses its chunks
+// through c; groupSize <= 0 selects DefaultRowGroupSize.
+func (c *Codec) NewWriter(schema Schema, groupSize int) *Writer {
 	if groupSize <= 0 {
 		groupSize = DefaultRowGroupSize
 	}
-	w := &Writer{schema: schema, groupSize: groupSize}
+	w := &Writer{codec: c, schema: schema, groupSize: groupSize}
 	w.buf.Write(magic)
 	w.buf.WriteByte(version)
 	return w
@@ -103,10 +111,11 @@ func (w *Writer) flushGroup() error {
 	}
 	g := groupMeta{rows: len(w.pending)}
 	for c, f := range w.schema.Fields {
-		col := make([]Value, len(w.pending))
-		for i, r := range w.pending {
-			col[i] = r[c]
+		col := w.col[:0]
+		for _, r := range w.pending {
+			col = append(col, r[c])
 		}
+		w.col = col
 		st := Stats{Min: col[0], Max: col[0], Count: int64(len(col))}
 		for _, v := range col[1:] {
 			if Compare(v, st.Min) < 0 {
@@ -116,13 +125,12 @@ func (w *Writer) flushGroup() error {
 				st.Max = v
 			}
 		}
-		enc, err := encodeChunk(f.Type, col)
-		if err != nil {
+		off := w.buf.Len()
+		if err := w.codec.encodeChunk(&w.buf, f.Type, col); err != nil {
 			return err
 		}
-		g.chunks = append(g.chunks, chunkRef{offset: int64(w.buf.Len()), length: int64(len(enc))})
+		g.chunks = append(g.chunks, chunkRef{offset: int64(off), length: int64(w.buf.Len() - off)})
 		g.stats = append(g.stats, st)
-		w.buf.Write(enc)
 	}
 	w.groups = append(w.groups, g)
 	w.pending = w.pending[:0]
@@ -180,13 +188,19 @@ func (w *Writer) Finish() ([]byte, error) {
 // Reader provides random and scanning access to a columnar file held in
 // memory.
 type Reader struct {
+	codec  *Codec
 	data   []byte
 	schema Schema
 	groups []groupMeta
 }
 
-// Open parses a file produced by Writer.Finish.
-func Open(data []byte) (*Reader, error) {
+// Open parses a file produced by Writer.Finish; its chunks decode
+// through a fresh Codec.
+func Open(data []byte) (*Reader, error) { return new(Codec).Open(data) }
+
+// Open parses a file produced by Writer.Finish; its chunks decode
+// through c.
+func (c *Codec) Open(data []byte) (*Reader, error) {
 	if len(data) < len(magic)+1+8 || !bytes.Equal(data[:4], magic) || !bytes.Equal(data[len(data)-4:], magic) {
 		return nil, errors.New("colfile: bad magic")
 	}
@@ -229,7 +243,7 @@ func Open(data []byte) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{data: data, schema: schema}
+	r := &Reader{codec: c, data: data, schema: schema}
 	for i := uint64(0); i < ng; i++ {
 		rows, err := readUvarint()
 		if err != nil {
@@ -311,7 +325,7 @@ func (r *Reader) ReadColumn(g, c int) ([]Value, error) {
 	if ch.offset+ch.length > int64(len(r.data)) {
 		return nil, errors.New("colfile: chunk out of range")
 	}
-	return decodeChunk(r.schema.Fields[c].Type, r.data[ch.offset:ch.offset+ch.length], gm.rows)
+	return r.codec.decodeChunk(r.schema.Fields[c].Type, r.data[ch.offset:ch.offset+ch.length], gm.rows)
 }
 
 // ReadGroup decodes the named columns (nil means all) of group g,

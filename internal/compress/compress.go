@@ -54,6 +54,103 @@ func (c Codec) String() string {
 	return fmt.Sprintf("codec(%d)", uint8(c))
 }
 
+// Coder is reusable DEFLATE (BestSpeed) state: one flate writer, reset
+// for every stream it compresses, and one flate reader, reset through
+// flate.Resetter for every stream it inflates. A fresh writer allocates
+// hundreds of kilobytes of hash tables and window, a fresh reader tens
+// of kilobytes, so work that codes many extents or chunks in a row keeps
+// one Coder for the whole job. The zero value is ready to use. A Coder
+// is not safe for concurrent use.
+//
+// Scope a Coder to one operation — a migration pass, a file, a scan —
+// and let it die with the operation. Never keep one process-wide or in a
+// sync.Pool: a parked coder is live heap that no request is using.
+//
+// A reset writer emits the same bytes as a fresh one, so reuse never
+// changes an encoding.
+type Coder struct {
+	w   *flate.Writer
+	r   io.ReadCloser
+	src bytes.Reader
+	n   countWriter
+}
+
+// countWriter discards what it is given and counts it.
+type countWriter struct{ n int64 }
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+// Deflate writes the DEFLATE stream of data to dst.
+func (c *Coder) Deflate(dst io.Writer, data []byte) error {
+	if c.w == nil {
+		w, err := flate.NewWriter(dst, flate.BestSpeed)
+		if err != nil {
+			return err
+		}
+		c.w = w
+	} else {
+		c.w.Reset(dst)
+	}
+	if _, err := c.w.Write(data); err != nil {
+		return err
+	}
+	return c.w.Close()
+}
+
+// Inflate decompresses the DEFLATE stream in data, appending the output
+// to dst (which may be a previous result sliced to zero length, so a
+// caller can reuse one scratch buffer).
+func (c *Coder) Inflate(dst, data []byte) ([]byte, error) {
+	c.src.Reset(data)
+	if c.r == nil {
+		c.r = flate.NewReader(&c.src)
+	} else if err := c.r.(flate.Resetter).Reset(&c.src, nil); err != nil {
+		return dst, err
+	}
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := c.r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// Negotiate picks the codec for one extent: it encodes data with both
+// real codecs and keeps the smaller result, bailing out to None (with
+// the raw length) when the best saving is under 1/16 of the input —
+// incompressible extents are stored raw rather than paying decompress
+// CPU forever for a rounding-error saving. It returns the chosen codec
+// and the exact on-device byte count of the extent under it. The flate
+// trial only counts its output bytes; it keeps none of them.
+func (c *Coder) Negotiate(data []byte) (Codec, int64) {
+	raw := int64(len(data))
+	if raw == 0 {
+		return None, 0
+	}
+	best, bestLen := None, raw
+	if rl := int64(len(rleEncode(data))); rl < bestLen {
+		best, bestLen = RLE, rl
+	}
+	c.n.n = 0
+	if err := c.Deflate(&c.n, data); err == nil && c.n.n < bestLen {
+		best, bestLen = Flate, c.n.n
+	}
+	if bestLen >= raw-raw/16 {
+		return None, raw
+	}
+	return best, bestLen
+}
+
 // Encode compresses data with the given codec. None returns a copy of
 // the input. The output of a given (codec, input) pair is deterministic
 // — Negotiate's size decisions and the virtual-byte accounting built on
@@ -66,14 +163,7 @@ func Encode(c Codec, data []byte) ([]byte, error) {
 		return rleEncode(data), nil
 	case Flate:
 		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(data); err != nil {
-			return nil, err
-		}
-		if err := w.Close(); err != nil {
+		if err := new(Coder).Deflate(&buf, data); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
@@ -89,40 +179,14 @@ func Decode(c Codec, data []byte) ([]byte, error) {
 	case RLE:
 		return rleDecode(data)
 	case Flate:
-		r := flate.NewReader(bytes.NewReader(data))
-		out, err := io.ReadAll(r)
-		if err != nil {
-			return nil, err
-		}
-		return out, r.Close()
+		return new(Coder).Inflate(nil, data)
 	}
 	return nil, fmt.Errorf("compress: unknown codec %d", uint8(c))
 }
 
-// Negotiate picks the codec for one extent: it encodes data with both
-// real codecs and keeps the smaller result, bailing out to None (with
-// the raw length) when the best saving is under 1/16 of the input —
-// incompressible extents are stored raw rather than paying decompress
-// CPU forever for a rounding-error saving. It returns the chosen codec
-// and the exact on-device byte count of the extent under it.
-func Negotiate(data []byte) (Codec, int64) {
-	raw := int64(len(data))
-	if raw == 0 {
-		return None, 0
-	}
-	best, bestLen := None, raw
-	if rl := int64(len(rleEncode(data))); rl < bestLen {
-		best, bestLen = RLE, rl
-	}
-	enc, err := Encode(Flate, data)
-	if err == nil && int64(len(enc)) < bestLen {
-		best, bestLen = Flate, int64(len(enc))
-	}
-	if bestLen >= raw-raw/16 {
-		return None, raw
-	}
-	return best, bestLen
-}
+// Negotiate picks one extent's codec with a fresh Coder; see
+// Coder.Negotiate.
+func Negotiate(data []byte) (Codec, int64) { return new(Coder).Negotiate(data) }
 
 // The virtual-CPU cost model. Constants are ns per input byte,
 // calibrated offline against stdlib flate and the RLE coder on a ~3 GHz

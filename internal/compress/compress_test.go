@@ -220,3 +220,36 @@ func TestFuzzishRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// One Coder reused across many extents must give exactly what a fresh
+// coder gives per extent — the same flate bytes, the same negotiated
+// codec and length — and must recover from a corrupt stream.
+func TestCoderReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var c Coder
+	for i := 0; i < 50; i++ {
+		data := make([]byte, rng.Intn(5000))
+		for j := range data {
+			data[j] = byte(rng.Intn(1 + i%8*32))
+		}
+		want, err := Encode(Flate, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := c.Deflate(&got, data); err != nil || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("extent %d: reused coder encoded %d bytes, fresh %d (err %v)", i, got.Len(), len(want), err)
+		}
+		wc, wl := Negotiate(data)
+		if gc, gl := c.Negotiate(data); gc != wc || gl != wl {
+			t.Fatalf("extent %d: reused coder negotiated %v/%d, fresh %v/%d", i, gc, gl, wc, wl)
+		}
+		if _, err := c.Inflate(nil, []byte{0xff, 0xff, 0xff}); err == nil {
+			t.Fatal("corrupt stream decoded")
+		}
+		dec, err := c.Inflate(nil, want)
+		if err != nil || !bytes.Equal(dec, data) {
+			t.Fatalf("extent %d: decode after a corrupt stream: %d bytes, err %v", i, len(dec), err)
+		}
+	}
+}

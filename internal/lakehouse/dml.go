@@ -35,6 +35,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 	}
 	schema := st.tbl.Schema()
 	var deleted int64
+	var codec colfile.Codec // decodes every rewritten file of this delete
 	for _, f := range plan.Files {
 		if fileFullyCovered(schema, f, filters) {
 			// Case 1: the whole file matches — metadata-only removal.
@@ -48,7 +49,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 			return deleted, cost, err
 		}
 		cost += rc
-		r, err := colfile.Open(blob)
+		r, err := codec.Open(blob)
 		if err != nil {
 			return deleted, cost, err
 		}
@@ -124,13 +125,14 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 	}
 	schema := st.tbl.Schema()
 	var updated int64
+	var codec colfile.Codec // decodes every file of this update
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
 		if err != nil {
 			return updated, cost, err
 		}
 		cost += rc
-		r, err := colfile.Open(blob)
+		r, err := codec.Open(blob)
 		if err != nil {
 			return updated, cost, err
 		}

@@ -41,7 +41,7 @@ func TestScanEarlyStop(t *testing.T) {
 	e.Insert("t", rows)
 	plan, _, _ := e.PlanScan("t", nil)
 	n := 0
-	_, _, err := e.Scan("t", plan, nil, func(colfile.Row) bool {
+	_, _, err := e.Scan("t", plan, nil, nil, func(colfile.Row) bool {
 		n++
 		return n < 10
 	})
@@ -61,7 +61,7 @@ func TestDeleteNothingMatches(t *testing.T) {
 	// Data intact.
 	plan, _, _ := e.PlanScan("t", nil)
 	var count int
-	e.Scan("t", plan, nil, func(colfile.Row) bool { count++; return true })
+	e.Scan("t", plan, nil, nil, func(colfile.Row) bool { count++; return true })
 	if count != 1 {
 		t.Fatalf("rows after no-op delete: %d", count)
 	}

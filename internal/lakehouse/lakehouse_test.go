@@ -97,7 +97,7 @@ func TestScanWithRowGroupSkipping(t *testing.T) {
 	plan, _, _ := e.PlanScan("t", nil)
 	filters := []RangeFilter{{Column: "start_time", Lo: iv(100), Hi: iv(200)}}
 	var got int64
-	stats, cost, err := e.Scan("t", plan, filters, func(r colfile.Row) bool { got++; return true })
+	stats, cost, err := e.Scan("t", plan, filters, nil, func(r colfile.Row) bool { got++; return true })
 	if err != nil || cost <= 0 {
 		t.Fatal(err)
 	}
@@ -257,13 +257,13 @@ func TestDeletePartialRewrite(t *testing.T) {
 	}
 	var remaining int64
 	plan, _, _ := e.PlanScan("t", nil)
-	e.Scan("t", plan, nil, func(r colfile.Row) bool { remaining++; return true })
+	e.Scan("t", plan, nil, nil, func(r colfile.Row) bool { remaining++; return true })
 	if remaining != 90 {
 		t.Fatalf("remaining: %d", remaining)
 	}
 	// Deleted range really gone.
 	var hits int64
-	e.Scan("t", plan, []RangeFilter{{Column: "start_time", Lo: iv(10), Hi: iv(19)}}, func(r colfile.Row) bool { hits++; return true })
+	e.Scan("t", plan, []RangeFilter{{Column: "start_time", Lo: iv(10), Hi: iv(19)}}, nil, func(r colfile.Row) bool { hits++; return true })
 	if hits != 0 {
 		t.Fatalf("deleted rows still present: %d", hits)
 	}
@@ -288,7 +288,7 @@ func TestUpdate(t *testing.T) {
 	}
 	plan, _, _ := e.PlanScan("t", nil)
 	seen := map[string]bool{}
-	e.Scan("t", plan, nil, func(r colfile.Row) bool { seen[r[urlIdx].Str] = true; return true })
+	e.Scan("t", plan, nil, nil, func(r colfile.Row) bool { seen[r[urlIdx].Str] = true; return true })
 	if !seen["http://masked"] || !seen["http://a"] || seen["http://b"] {
 		t.Fatalf("post-update urls: %v", seen)
 	}

@@ -314,10 +314,18 @@ func rowMatches(schema colfile.Schema, row colfile.Row, filters []RangeFilter) b
 // Scan reads the planned files and streams matching rows to fn,
 // skipping row groups whose statistics exclude the filters (data
 // skipping within the file) and returning the modelled read latency
-// plus the bytes actually read vs skipped. The row passed to fn is a
-// reused buffer, valid only for the duration of the callback: retain a
-// copy, not the row itself.
-func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(colfile.Row) bool) (ScanStats, time.Duration, error) {
+// plus the bytes actually read vs skipped.
+//
+// cols lists the schema indices of the columns fn reads (nil means
+// every column; negative indices are ignored). Only those columns and
+// the filter columns are decoded; the row's other slots hold zero
+// Values. Projection saves decode CPU and allocations only: every
+// scanned file is still read whole and ReadBytes still counts whole
+// row groups, so the modelled I/O is the same for any cols.
+//
+// The row passed to fn is a reused buffer, valid only for the duration
+// of the callback: retain a copy, not the row itself.
+func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, cols []int, fn func(colfile.Row) bool) (ScanStats, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
 		return ScanStats{}, 0, err
@@ -335,14 +343,16 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(col
 		m.skippedBytes.Add(stats.SkippedBytes)
 		m.scanLat.Observe(cost)
 	}()
-	var row colfile.Row // reused across rows; fn must not retain it
+	read := scanColumns(schema, filters, cols)
+	row := make(colfile.Row, schema.NumFields()) // reused across rows; fn must not retain it
+	var codec colfile.Codec                      // decodes every file of this scan
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
 		if err != nil {
 			return stats, cost, err
 		}
 		cost += rc
-		r, err := colfile.Open(blob)
+		r, err := codec.Open(blob)
 		if err != nil {
 			return stats, cost, err
 		}
@@ -353,16 +363,13 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(col
 				continue
 			}
 			stats.ReadBytes += r.GroupBytes(g)
-			cols, err := r.ReadGroup(g, nil)
+			vals, err := r.ReadGroup(g, read)
 			if err != nil {
 				return stats, cost, err
 			}
-			if len(row) != len(cols) {
-				row = make(colfile.Row, len(cols))
-			}
 			for i := 0; i < r.GroupRows(g); i++ {
-				for c := range cols {
-					row[c] = cols[c][i]
+				for k, c := range read {
+					row[c] = vals[k][i]
 				}
 				stats.RowsScanned++
 				if rowMatches(schema, row, filters) {
@@ -375,6 +382,30 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(col
 		}
 	}
 	return stats, cost, nil
+}
+
+// scanColumns resolves the columns a scan decodes, in schema order:
+// cols (nil meaning all) plus every filter column. The result is never
+// nil, so an empty set decodes nothing.
+func scanColumns(schema colfile.Schema, filters []RangeFilter, cols []int) []int {
+	need := make([]bool, schema.NumFields())
+	for _, c := range cols {
+		if c >= 0 && c < len(need) {
+			need[c] = true
+		}
+	}
+	for _, flt := range filters {
+		if c := schema.FieldIndex(flt.Column); c >= 0 {
+			need[c] = true
+		}
+	}
+	out := make([]int, 0, len(need))
+	for c, ok := range need {
+		if ok || cols == nil {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func groupMatches(schema colfile.Schema, r *colfile.Reader, g int, filters []RangeFilter) bool {
@@ -429,7 +460,7 @@ func (e *Engine) AggregatePushdown(name string, filters []RangeFilter, groupColu
 		return nil, cost, errors.New("lakehouse: unknown sum column " + sumColumn)
 	}
 	groups := map[string]*AggregateResult{}
-	_, scanCost, err := e.Scan(name, plan, filters, func(row colfile.Row) bool {
+	_, scanCost, err := e.Scan(name, plan, filters, []int{gi, si}, func(row colfile.Row) bool {
 		key := ""
 		if gi >= 0 {
 			key = row[gi].String()

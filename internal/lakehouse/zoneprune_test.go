@@ -92,7 +92,7 @@ func TestZoneMapsPruneSelectiveScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var matched int64
-		if _, _, err := e.Scan("events", plan, probe, func(r colfile.Row) bool {
+		if _, _, err := e.Scan("events", plan, probe, nil, func(r colfile.Row) bool {
 			matched++
 			return true
 		}); err != nil {

@@ -63,11 +63,13 @@ func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 		// Negotiate a codec per extent against the authoritative bytes.
 		// The trial encodes run once per extent regardless of how many
 		// copies move — negotiation is a logical transform, the copies
-		// just store its output.
+		// just store its output. One coder serves every extent of
+		// this migration.
+		var coder compress.Coder
 		l.imu.Lock()
 		newComp = make([]extComp, len(l.extents))
 		for e, ext := range l.extents {
-			codec, clen := compress.Negotiate(l.buf[ext.off : ext.off+ext.len])
+			codec, clen := coder.Negotiate(l.buf[ext.off : ext.off+ext.len])
 			newComp[e] = extComp{codec: codec, clen: clen}
 			cost += compress.NegotiateCost(ext.len)
 		}

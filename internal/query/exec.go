@@ -174,7 +174,7 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 		}
 	}
 	var oom error
-	stats, execCost, err := e.lh.Scan(stmt.Table, plan, scanFilters, func(row colfile.Row) bool {
+	stats, execCost, err := e.lh.Scan(stmt.Table, plan, scanFilters, readColumns(schema, stmt), func(row colfile.Row) bool {
 		shipped += rowShipBytes
 		if err := e.checkBudget(plan.MetadataBytes + shipped); err != nil {
 			oom = err
@@ -259,6 +259,24 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 	res.Columns = projectionColumns(stmt, schema)
 	res.Rows = rawRows
 	return res, nil
+}
+
+// readColumns lists the schema indices of the columns the general path
+// reads from each row — the WHERE, SELECT and GROUP BY columns — or nil
+// (every column) for SELECT *. Unknown names resolve to -1, which the
+// scan ignores.
+func readColumns(schema colfile.Schema, stmt *Stmt) []int {
+	cols := []int{}
+	for _, item := range stmt.Select {
+		if item.Column == "*" {
+			return nil
+		}
+		cols = append(cols, schema.FieldIndex(item.Column))
+	}
+	for _, c := range stmt.Where {
+		cols = append(cols, schema.FieldIndex(c.Column))
+	}
+	return append(cols, schema.FieldIndex(stmt.GroupBy))
 }
 
 func (e *Engine) executePushdown(stmt *Stmt, filters []lakehouse.RangeFilter) ([]lakehouse.AggregateResult, time.Duration, error) {

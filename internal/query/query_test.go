@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"streamlake/internal/colfile"
@@ -253,5 +254,38 @@ func TestStrictFloatBoundsCorrect(t *testing.T) {
 	// scores 0.0..0.9 -> 10 rows; strict < must exclude 1.0.
 	if res.Rows[0][0] != "10" {
 		t.Fatalf("strict float count: %v", res.Rows)
+	}
+}
+
+// The general path decodes only its WHERE, SELECT and GROUP BY columns;
+// a projected SELECT must return exactly the matching columns of
+// SELECT *.
+func TestProjectedSelectMatchesSelectStar(t *testing.T) {
+	e, lh := newEngine(t)
+	loadRows(t, lh, 3000)
+	for _, pushdown := range []bool{true, false} {
+		e.Pushdown = pushdown
+		where := " from logs where start_time >= 1200 and start_time < 2900 and score > 12.5"
+		star, err := e.Query("select *" + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := e.Query("select province, url" + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(star.Rows) == 0 || len(proj.Rows) != len(star.Rows) {
+			t.Fatalf("pushdown=%v: projected %d rows, select * %d", pushdown, len(proj.Rows), len(star.Rows))
+		}
+		prov, url := dpiSchema.FieldIndex("province"), dpiSchema.FieldIndex("url")
+		for i, r := range star.Rows {
+			if want := []string{r[prov], r[url]}; !reflect.DeepEqual(proj.Rows[i], want) {
+				t.Fatalf("pushdown=%v row %d: projected %v, select * gives %v", pushdown, i, proj.Rows[i], want)
+			}
+		}
+		if proj.Stats.RowsScanned != star.Stats.RowsScanned || proj.Stats.ExecCost != star.Stats.ExecCost ||
+			proj.Stats.ComputeBytes != star.Stats.ComputeBytes {
+			t.Fatalf("pushdown=%v: projected stats %+v, select * %+v", pushdown, proj.Stats, star.Stats)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package tableobj
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -156,8 +157,12 @@ func (t *Table) PartitionFor(row colfile.Row) string {
 }
 
 // Txn stages data-file additions and removals for one atomic commit.
+// A Txn is not safe for concurrent use.
 type Txn struct {
-	t        *Table
+	t *Table
+	// codec compresses every data file the transaction writes: one set
+	// of flate tables per transaction, not per file or per chunk.
+	codec    colfile.Codec
 	base     Snapshot
 	adds     []DataFile
 	removes  []DataFile
@@ -191,7 +196,7 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 		return DataFile{}, errors.New("tableobj: WriteRows with no rows")
 	}
 	schema := x.t.meta.Schema
-	w := colfile.NewWriter(schema, 0)
+	w := x.codec.NewWriter(schema, 0)
 	min := make([]colfile.Value, schema.NumFields())
 	max := make([]colfile.Value, schema.NumFields())
 	copy(min, rows[0])
@@ -226,7 +231,7 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 		// Harvest per-row-group ranges from the freshly encoded footer
 		// (the writer already computed them) and build per-column blooms
 		// from the rows — planning-time pruning stats the commit carries.
-		if r, err := colfile.Open(blob); err == nil {
+		if r, err := x.codec.Open(blob); err == nil {
 			for g := 0; g < r.NumRowGroups(); g++ {
 				z := ZoneMap{
 					Min: make([]colfile.Value, schema.NumFields()),
@@ -256,6 +261,27 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 	x.cost += cost
 	x.AddFile(f)
 	return f, nil
+}
+
+// WritePartitions writes each partition's rows as one data file, in
+// sorted partition order: every file takes the next id, so a fixed order
+// keeps the partition-to-path mapping the same on every run. It returns
+// the files written, in that order, up to any error.
+func (x *Txn) WritePartitions(byPartition map[string][]colfile.Row) ([]DataFile, error) {
+	parts := make([]string, 0, len(byPartition))
+	for p := range byPartition {
+		parts = append(parts, p)
+	}
+	sort.Strings(parts)
+	files := make([]DataFile, 0, len(parts))
+	for _, p := range parts {
+		f, err := x.WriteRows(byPartition[p])
+		if err != nil {
+			return files, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // Commit writes the commit file, builds and writes the next snapshot,
