@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"streamlake/internal/colfile"
@@ -154,15 +155,24 @@ func fig16aRun(rows int, seed uint64, def *compact.Default, auto *compact.Auto) 
 		for _, f := range cur.Files {
 			byPart[f.Partition] = append(byPart[f.Partition], f.Bytes)
 		}
+		// Partitions are visited in sorted order: the loop below draws
+		// from rng and compacts, so map order would make the run
+		// irreproducible.
+		parts := make([]string, 0, len(byPart))
+		for name := range byPart {
+			parts = append(parts, name)
+		}
+		sort.Strings(parts)
 		var all []int64
-		for _, sizes := range byPart {
-			all = append(all, sizes...)
+		for _, name := range parts {
+			all = append(all, byPart[name]...)
 		}
 		globalUtil := compact.BlockUtilization(all, blockSize)
 		// Feature normalization: ingest speed in training units (a storm
 		// tick's arrivals map to the trained storm rate).
 		ingestRate := float64(filesThisTick) / 3 * 20
-		for partName, sizes := range byPart {
+		for _, partName := range parts {
+			sizes := byPart[partName]
 			st := compact.State{
 				TargetFileSize: targetFileSize,
 				IngestRate:     ingestRate,

@@ -3,6 +3,7 @@ package colfile
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -53,7 +54,7 @@ func (cc codecCase) checkRows(t testing.TB, r *Reader) {
 	t.Helper()
 	i := 0
 	for g := 0; g < r.NumRowGroups(); g++ {
-		cols, err := r.ReadGroup(g, nil)
+		cols, err := r.ReadGroup(g, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: group %d: %v", cc.name, g, err)
 		}
@@ -93,15 +94,113 @@ func TestSharedCodecWritesIdenticalBytes(t *testing.T) {
 	}
 }
 
-// corruptChunk returns a copy of data with the first chunk's DEFLATE
-// stream replaced by bytes that are not a valid stream.
-func corruptChunk(t *testing.T, data []byte) []byte {
+// TestReusedGroupBuffersMatchFresh decodes every group of every codec
+// case through one dst — across schemas and types, across groups that
+// shrink (a 100-row group, then the one-row tail) and grow again, and
+// across projections — and requires exactly what a nil dst returns.
+func TestReusedGroupBuffersMatchFresh(t *testing.T) {
+	var codec Codec
+	var dst [][]Value
+	for pass := 0; pass < 2; pass++ {
+		for _, cc := range codecCases {
+			r, err := codec.Open(cc.write(t, NewWriter(cc.schema, cc.groupSize)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := make([]int, cc.schema.NumFields())
+			for i := range all {
+				all[i] = i
+			}
+			projections := [][]int{nil, all, all[len(all)-1:], {}}
+			var order []int
+			for g := 0; g < r.NumRowGroups(); g++ {
+				order = append(order, g)
+			}
+			for g := r.NumRowGroups() - 1; g >= 0; g-- {
+				order = append(order, g)
+			}
+			for _, g := range order {
+				for _, cols := range projections {
+					want, err := r.ReadGroup(g, cols, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dst, err = r.ReadGroup(g, cols, dst); err != nil {
+						t.Fatal(err)
+					}
+					if !sameGroup(dst, want) {
+						t.Fatalf("pass %d, %s, group %d, cols %v: reused dst decoded %v, want %v",
+							pass, cc.name, g, cols, dst, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameGroup compares decoded groups; an empty projection may come back
+// nil or empty.
+func sameGroup(a, b [][]Value) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// TestReusedGroupBuffersAfterDecodeError sends a corrupt and then a
+// truncated chunk through a dst that holds a decoded group. Each error
+// returns an empty dst, and the next successful decode through it
+// shows only the new group's values.
+func TestReusedGroupBuffersAfterDecodeError(t *testing.T) {
+	good := buildFile(t, 500, 64)
+	var codec Codec
+	expect := func(dst [][]Value, data []byte, g int) [][]Value {
+		t.Helper()
+		r, err := codec.Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.ReadGroup(g, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dst, err = r.ReadGroup(g, nil, dst); err != nil {
+			t.Fatal(err)
+		}
+		if !sameGroup(dst, want) {
+			t.Fatalf("group %d through a reused dst: got %v, want %v", g, dst, want)
+		}
+		return dst
+	}
+	dst := expect(nil, good, 0)
+
+	// The third column fails, after the first two were refilled.
+	bad, err := codec.Open(corruptChunk(t, good, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst, err = bad.ReadGroup(0, nil, dst); err == nil || len(dst) != 0 {
+		t.Fatalf("corrupt chunk: err %v, %d columns returned", err, len(dst))
+	}
+	dst = expect(dst, buildFile(t, 300, 50), 5) // a 50-row group after 64 rows
+
+	short, err := codec.Open(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.groups[0].chunks[2].length /= 2
+	if dst, err = short.ReadGroup(0, nil, dst); err == nil || len(dst) != 0 {
+		t.Fatalf("truncated chunk: err %v, %d columns returned", err, len(dst))
+	}
+	expect(dst, good, 7) // the 52-row tail
+}
+
+// corruptChunk returns a copy of data with the DEFLATE stream of column
+// c in the first group replaced by bytes that are not a valid stream.
+func corruptChunk(t *testing.T, data []byte, c int) []byte {
 	t.Helper()
 	r, err := Open(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := r.groups[0].chunks[0]
+	ch := r.groups[0].chunks[c]
 	bad := append([]byte(nil), data...)
 	for i := ch.offset; i < ch.offset+ch.length; i++ {
 		bad[i] = 0xff // BTYPE 11 is reserved: an invalid block header
@@ -116,11 +215,11 @@ func TestCodecRecoversAfterDecodeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadGroup(0, nil); err != nil {
+	if _, err := r.ReadGroup(0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	bad, err := codec.Open(corruptChunk(t, good))
+	bad, err := codec.Open(corruptChunk(t, good, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +290,28 @@ func wideRow(i int) Row {
 }
 
 // The ceilings on decoding one 16-column, 256-row group through a reused
-// Codec. The decoded values cost about 16 x 256 x 48 B = 192 KB in one
-// allocation per column, plus the dictionary words. A fresh flate
-// reader per chunk adds about 40 KB and several allocations for each of
-// the 16 chunks, which these ceilings do not leave room for.
+// Codec into fresh buffers. The decoded values cost about
+// 16 x 256 x 48 B = 192 KB in one allocation per column, plus the
+// dictionaries. A fresh flate reader per chunk adds about 40 KB and
+// several allocations for each of the 16 chunks, which these ceilings
+// do not leave room for.
 const (
 	decodeGroupAllocsCeiling = 60
 	decodeGroupBytesCeiling  = 320 << 10
 )
 
-func TestDecodeGroupAllocationCeiling(t *testing.T) {
+// The ceilings on decoding the same group into reused buffers: only each
+// dictionary-coded string chunk still allocates, once for its dictionary
+// text and once for its word list. Fresh column buffers (192 KB) do not
+// fit.
+const (
+	decodeGroupReusedAllocsCeiling = 32
+	decodeGroupReusedBytesCeiling  = 4 << 10
+)
+
+// wideGroupReader returns a reader over one 16-column, 256-row group.
+func wideGroupReader(t *testing.T) *Reader {
+	t.Helper()
 	w := NewWriter(wideSchema, 256)
 	for i := 0; i < 256; i++ {
 		if err := w.Append(wideRow(i)); err != nil {
@@ -211,17 +322,19 @@ func TestDecodeGroupAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var codec Codec
-	r, err := codec.Open(data)
+	r, err := new(Codec).Open(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := func() {
-		if _, err := r.ReadGroup(0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	decode() // builds the flate reader and grows the scratch buffer
+	return r
+}
+
+// checkDecodeCeiling runs decode once to warm the Codec (it builds the
+// flate reader and grows the scratch buffer), then measures its
+// allocations and bytes per call against the ceilings.
+func checkDecodeCeiling(t *testing.T, what string, decode func(), allocsCeiling int, bytesCeiling uint64) {
+	t.Helper()
+	decode()
 	allocs := testing.AllocsPerRun(20, decode)
 
 	const runs = 20
@@ -234,11 +347,31 @@ func TestDecodeGroupAllocationCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perGroup := (after.TotalAlloc - before.TotalAlloc) / runs
 
-	t.Logf("decode one 16-column group: %.0f allocs, %d B", allocs, perGroup)
-	if allocs > decodeGroupAllocsCeiling {
-		t.Fatalf("decoding a group took %.0f allocations, ceiling %d", allocs, decodeGroupAllocsCeiling)
+	t.Logf("%s: %.0f allocs, %d B", what, allocs, perGroup)
+	if allocs > float64(allocsCeiling) {
+		t.Fatalf("%s took %.0f allocations, ceiling %d", what, allocs, allocsCeiling)
 	}
-	if perGroup > decodeGroupBytesCeiling {
-		t.Fatalf("decoding a group allocated %d B, ceiling %d", perGroup, decodeGroupBytesCeiling)
+	if perGroup > bytesCeiling {
+		t.Fatalf("%s allocated %d B, ceiling %d", what, perGroup, bytesCeiling)
 	}
+}
+
+func TestDecodeGroupAllocationCeiling(t *testing.T) {
+	r := wideGroupReader(t)
+	checkDecodeCeiling(t, "decode one 16-column group", func() {
+		if _, err := r.ReadGroup(0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}, decodeGroupAllocsCeiling, decodeGroupBytesCeiling)
+}
+
+func TestDecodeGroupIntoReusedBuffersAllocationCeiling(t *testing.T) {
+	r := wideGroupReader(t)
+	var dst [][]Value
+	checkDecodeCeiling(t, "decode one 16-column group into reused buffers", func() {
+		var err error
+		if dst, err = r.ReadGroup(0, nil, dst); err != nil {
+			t.Fatal(err)
+		}
+	}, decodeGroupReusedAllocsCeiling, decodeGroupReusedBytesCeiling)
 }

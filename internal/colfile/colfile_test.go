@@ -185,7 +185,7 @@ func TestStatsOverlapsEdges(t *testing.T) {
 
 func TestReadColumnProjection(t *testing.T) {
 	r, _ := Open(buildFile(t, 50, 25))
-	cols, err := r.ReadGroup(1, []int{2}) // province only
+	cols, err := r.ReadGroup(1, []int{2}, nil) // province only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestQuickInt64RoundTrip(t *testing.T) {
 			in[i] = IntValue(v)
 		}
 		enc := appendInt64Chunk(nil, in)
-		out, err := decodeInt64Chunk(enc, len(in))
+		out, err := decodeInt64Chunk(nil, enc, len(in))
 		if err != nil {
 			return false
 		}
@@ -324,7 +324,7 @@ func TestQuickStringRoundTrip(t *testing.T) {
 			in[i] = StringValue(v)
 		}
 		enc := appendStringChunk(nil, in)
-		out, err := decodeStringChunk(enc, len(in))
+		out, err := decodeStringChunk(nil, enc, len(in))
 		if err != nil {
 			return false
 		}

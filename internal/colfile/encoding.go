@@ -30,17 +30,29 @@ func appendInt64Chunk(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-func decodeInt64Chunk(data []byte, n int) ([]Value, error) {
+// refill returns dst emptied, with room for n values: dst's own array
+// when it is large enough, else a new one of exactly n. The chunk
+// decoders append a chunk's n values to refill(dst, n) and return the
+// result; a nil dst allocates. On error they return an empty slice, so
+// no value of an earlier chunk stays visible.
+func refill(dst []Value, n int) []Value {
+	if cap(dst) < n {
+		return make([]Value, 0, n)
+	}
+	return dst[:0]
+}
+
+func decodeInt64Chunk(dst []Value, data []byte, n int) ([]Value, error) {
 	// n is footer-supplied: each varint costs at least one byte.
 	if n < 0 || n > len(data) {
-		return nil, errors.New("colfile: int64 count exceeds chunk")
+		return dst[:0], errors.New("colfile: int64 count exceeds chunk")
 	}
-	out := make([]Value, 0, n)
+	out := refill(dst, n)
 	prev := int64(0)
 	for i := 0; i < n; i++ {
 		d, sz := binary.Varint(data)
 		if sz <= 0 {
-			return nil, errors.New("colfile: truncated int64 chunk")
+			return out[:0], errors.New("colfile: truncated int64 chunk")
 		}
 		data = data[sz:]
 		prev += d
@@ -56,11 +68,11 @@ func appendFloat64Chunk(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-func decodeFloat64Chunk(data []byte, n int) ([]Value, error) {
+func decodeFloat64Chunk(dst []Value, data []byte, n int) ([]Value, error) {
 	if len(data) < 8*n {
-		return nil, errors.New("colfile: truncated float64 chunk")
+		return dst[:0], errors.New("colfile: truncated float64 chunk")
 	}
-	out := make([]Value, 0, n)
+	out := refill(dst, n)
 	for i := 0; i < n; i++ {
 		out = append(out, FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))))
 	}
@@ -105,44 +117,55 @@ func appendStringChunk(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-func decodeStringChunk(data []byte, n int) ([]Value, error) {
+func decodeStringChunk(dst []Value, data []byte, n int) ([]Value, error) {
 	if len(data) < 1 {
-		return nil, errors.New("colfile: empty string chunk")
+		return dst[:0], errors.New("colfile: empty string chunk")
 	}
 	if n < 0 || n > len(data)*8 {
-		return nil, errors.New("colfile: string count exceeds chunk")
+		return dst[:0], errors.New("colfile: string count exceeds chunk")
 	}
 	enc := data[0]
 	data = data[1:]
-	out := make([]Value, 0, n)
+	out := refill(dst, n)
 	switch enc {
 	case encDict:
 		count, sz := binary.Uvarint(data)
 		if sz <= 0 {
-			return nil, errors.New("colfile: truncated dictionary")
+			return out[:0], errors.New("colfile: truncated dictionary")
 		}
 		data = data[sz:]
 		// Untrusted dictionary size: entries cost at least one byte.
 		if count > uint64(len(data)) {
-			return nil, errors.New("colfile: dictionary size exceeds chunk")
+			return out[:0], errors.New("colfile: dictionary size exceeds chunk")
 		}
-		words := make([]string, count)
-		for i := range words {
-			l, sz := binary.Uvarint(data)
-			if sz <= 0 || uint64(len(data)-sz) < l {
-				return nil, errors.New("colfile: truncated dictionary entry")
+		// Validate the entries first, then slice every word out of one
+		// string copy of the dictionary block: two allocations per
+		// chunk rather than one per word.
+		rest := data
+		for i := uint64(0); i < count; i++ {
+			l, sz := binary.Uvarint(rest)
+			if sz <= 0 || uint64(len(rest)-sz) < l {
+				return out[:0], errors.New("colfile: truncated dictionary entry")
 			}
-			data = data[sz:]
-			words[i] = string(data[:l])
-			data = data[l:]
+			rest = rest[uint64(sz)+l:]
 		}
+		block := string(data[:len(data)-len(rest)])
+		words := make([]string, count)
+		off := 0
+		for i := range words {
+			l, sz := binary.Uvarint(data[off:])
+			off += sz
+			words[i] = block[off : off+int(l)]
+			off += int(l)
+		}
+		data = rest
 		if len(data) < n {
-			return nil, errors.New("colfile: truncated dictionary codes")
+			return out[:0], errors.New("colfile: truncated dictionary codes")
 		}
 		for i := 0; i < n; i++ {
 			code := int(data[i])
 			if code >= len(words) {
-				return nil, errors.New("colfile: dictionary code out of range")
+				return out[:0], errors.New("colfile: dictionary code out of range")
 			}
 			out = append(out, StringValue(words[code]))
 		}
@@ -150,14 +173,14 @@ func decodeStringChunk(data []byte, n int) ([]Value, error) {
 		for i := 0; i < n; i++ {
 			l, sz := binary.Uvarint(data)
 			if sz <= 0 || uint64(len(data)-sz) < l {
-				return nil, errors.New("colfile: truncated string")
+				return out[:0], errors.New("colfile: truncated string")
 			}
 			data = data[sz:]
 			out = append(out, StringValue(string(data[:l])))
 			data = data[l:]
 		}
 	default:
-		return nil, fmt.Errorf("colfile: unknown string encoding %d", enc)
+		return out[:0], fmt.Errorf("colfile: unknown string encoding %d", enc)
 	}
 	return out, nil
 }
@@ -176,11 +199,11 @@ func appendBoolChunk(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-func decodeBoolChunk(data []byte, n int) ([]Value, error) {
+func decodeBoolChunk(dst []Value, data []byte, n int) ([]Value, error) {
 	if len(data) < (n+7)/8 {
-		return nil, errors.New("colfile: truncated bool chunk")
+		return dst[:0], errors.New("colfile: truncated bool chunk")
 	}
-	out := make([]Value, 0, n)
+	out := refill(dst, n)
 	for i := 0; i < n; i++ {
 		out = append(out, BoolValue(data[i/8]&(1<<(i%8)) != 0))
 	}
@@ -227,23 +250,25 @@ func (c *Codec) encodeChunk(dst *bytes.Buffer, t Type, vals []Value) error {
 	return c.fl.Deflate(dst, raw)
 }
 
-func (c *Codec) decodeChunk(t Type, data []byte, n int) ([]Value, error) {
+// decodeChunk decodes one compressed column chunk of n values into
+// dst[:0], in the style of the chunk decoders.
+func (c *Codec) decodeChunk(dst []Value, t Type, data []byte, n int) ([]Value, error) {
 	raw, err := c.fl.Inflate(c.raw[:0], data)
 	c.raw = raw
 	if err != nil {
-		return nil, fmt.Errorf("colfile: decompress: %w", err)
+		return dst[:0], fmt.Errorf("colfile: decompress: %w", err)
 	}
 	switch t {
 	case Int64:
-		return decodeInt64Chunk(raw, n)
+		return decodeInt64Chunk(dst, raw, n)
 	case Float64:
-		return decodeFloat64Chunk(raw, n)
+		return decodeFloat64Chunk(dst, raw, n)
 	case String:
-		return decodeStringChunk(raw, n)
+		return decodeStringChunk(dst, raw, n)
 	case Bool:
-		return decodeBoolChunk(raw, n)
+		return decodeBoolChunk(dst, raw, n)
 	default:
-		return nil, fmt.Errorf("colfile: unknown type %v", t)
+		return dst[:0], fmt.Errorf("colfile: unknown type %v", t)
 	}
 }
 
@@ -255,7 +280,7 @@ func (c *Codec) decodeChunk(t Type, data []byte, n int) ([]Value, error) {
 func AppendValue(buf []byte, v Value) []byte { return appendValue(buf, v) }
 
 // ReadValue decodes one value from data, returning the remaining bytes.
-func ReadValue(data []byte) (Value, []byte, error) { return readValue(data) }
+func ReadValue(data []byte) (Value, []byte, error) { return readValue(data, "") }
 
 func appendValue(buf []byte, v Value) []byte {
 	buf = append(buf, byte(v.Type))
@@ -282,7 +307,10 @@ func appendValue(buf []byte, v Value) []byte {
 	return buf
 }
 
-func readValue(data []byte) (Value, []byte, error) {
+// readValue decodes one value from data. A string value is copied out
+// of data, unless text is non-empty: then data must be a suffix of
+// text's bytes, and the string is sliced from text without a copy.
+func readValue(data []byte, text string) (Value, []byte, error) {
 	if len(data) < 1 {
 		return Value{}, nil, errors.New("colfile: truncated value")
 	}
@@ -306,6 +334,10 @@ func readValue(data []byte) (Value, []byte, error) {
 			return Value{}, nil, errors.New("colfile: truncated string value")
 		}
 		data = data[sz:]
+		if text != "" {
+			start := len(text) - len(data)
+			return StringValue(text[start : start+int(l)]), data[l:], nil
+		}
 		return StringValue(string(data[:l])), data[l:], nil
 	case Bool:
 		if len(data) < 1 {

@@ -212,6 +212,9 @@ func (c *Codec) Open(data []byte) (*Reader, error) {
 		return nil, errors.New("colfile: footer length out of range")
 	}
 	f := data[len(data)-8-int(footerLen) : len(data)-8]
+	// Field names and string statistics are sliced from one copy of the
+	// footer, so parsing allocates per file, not per group or column.
+	text := string(f)
 
 	readUvarint := func() (uint64, error) {
 		v, sz := binary.Uvarint(f)
@@ -225,7 +228,11 @@ func (c *Codec) Open(data []byte) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	var schema Schema
+	// Untrusted field count: each field costs at least two bytes.
+	if nf > uint64(len(f))/2 {
+		return nil, errors.New("colfile: field count exceeds footer")
+	}
+	schema := Schema{Fields: make([]Field, 0, nf)}
 	for i := uint64(0); i < nf; i++ {
 		nl, err := readUvarint()
 		if err != nil {
@@ -234,7 +241,8 @@ func (c *Codec) Open(data []byte) (*Reader, error) {
 		if uint64(len(f)) < nl+1 {
 			return nil, errors.New("colfile: truncated footer schema")
 		}
-		name := string(f[:nl])
+		start := len(text) - len(f)
+		name := text[start : start+int(nl)]
 		t := Type(f[nl])
 		f = f[nl+1:]
 		schema.Fields = append(schema.Fields, Field{Name: name, Type: t})
@@ -243,8 +251,18 @@ func (c *Codec) Open(data []byte) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{codec: c, data: data, schema: schema}
-	for i := uint64(0); i < ng; i++ {
+	// Untrusted group count: a group costs at least one byte for its row
+	// count and seven per column (offset, length and count varints, and
+	// two typed values of at least two bytes each). Every group's chunk
+	// refs and stats are carved from one slab each.
+	nc := len(schema.Fields)
+	if ng > uint64(len(f))/(1+7*uint64(nc)) {
+		return nil, errors.New("colfile: group count exceeds footer")
+	}
+	chunks := make([]chunkRef, int(ng)*nc)
+	stats := make([]Stats, int(ng)*nc)
+	r := &Reader{codec: c, data: data, schema: schema, groups: make([]groupMeta, ng)}
+	for i := range r.groups {
 		rows, err := readUvarint()
 		if err != nil {
 			return nil, err
@@ -255,8 +273,12 @@ func (c *Codec) Open(data []byte) (*Reader, error) {
 		if rows > 1<<31 {
 			return nil, errors.New("colfile: group row count out of range")
 		}
-		g := groupMeta{rows: int(rows)}
-		for c := 0; c < len(schema.Fields); c++ {
+		g := groupMeta{
+			rows:   int(rows),
+			chunks: chunks[i*nc : (i+1)*nc : (i+1)*nc],
+			stats:  stats[i*nc : (i+1)*nc : (i+1)*nc],
+		}
+		for c := range g.chunks {
 			off, err := readUvarint()
 			if err != nil {
 				return nil, err
@@ -265,13 +287,11 @@ func (c *Codec) Open(data []byte) (*Reader, error) {
 			if err != nil {
 				return nil, err
 			}
-			var st Stats
-			st.Min, f, err = readValue(f)
-			if err != nil {
+			st := &g.stats[c]
+			if st.Min, f, err = readValue(f, text); err != nil {
 				return nil, err
 			}
-			st.Max, f, err = readValue(f)
-			if err != nil {
+			if st.Max, f, err = readValue(f, text); err != nil {
 				return nil, err
 			}
 			cnt, err := readUvarint()
@@ -279,10 +299,9 @@ func (c *Codec) Open(data []byte) (*Reader, error) {
 				return nil, err
 			}
 			st.Count = int64(cnt)
-			g.chunks = append(g.chunks, chunkRef{offset: int64(off), length: int64(length)})
-			g.stats = append(g.stats, st)
+			g.chunks[c] = chunkRef{offset: int64(off), length: int64(length)}
 		}
-		r.groups = append(r.groups, g)
+		r.groups[i] = g
 	}
 	return r, nil
 }
@@ -318,41 +337,57 @@ func (r *Reader) GroupBytes(g int) int64 {
 	return n
 }
 
-// ReadColumn decodes column c of group g.
+// ReadColumn decodes column c of group g into a new slice.
 func (r *Reader) ReadColumn(g, c int) ([]Value, error) {
+	return r.readColumn(nil, g, c)
+}
+
+// readColumn decodes column c of group g into dst[:0].
+func (r *Reader) readColumn(dst []Value, g, c int) ([]Value, error) {
 	gm := r.groups[g]
 	ch := gm.chunks[c]
 	if ch.offset+ch.length > int64(len(r.data)) {
-		return nil, errors.New("colfile: chunk out of range")
+		return dst[:0], errors.New("colfile: chunk out of range")
 	}
-	return r.codec.decodeChunk(r.schema.Fields[c].Type, r.data[ch.offset:ch.offset+ch.length], gm.rows)
+	return r.codec.decodeChunk(dst, r.schema.Fields[c].Type, r.data[ch.offset:ch.offset+ch.length], gm.rows)
 }
 
-// ReadGroup decodes the named columns (nil means all) of group g,
-// returning column-major values aligned with cols.
-func (r *Reader) ReadGroup(g int, cols []int) ([][]Value, error) {
+// ReadGroup decodes the named columns (nil means all) of group g into
+// dst and returns it: column-major values aligned with cols. dst is
+// refilled in place, reusing its column slices' capacity; nil allocates
+// fresh ones. Values from an earlier call through the same dst are
+// overwritten, so a caller that reuses dst must copy what it retains.
+// On error the returned slice is empty but keeps dst's capacity.
+func (r *Reader) ReadGroup(g int, cols []int, dst [][]Value) ([][]Value, error) {
+	n := len(cols)
 	if cols == nil {
-		cols = make([]int, len(r.schema.Fields))
-		for i := range cols {
-			cols[i] = i
+		n = len(r.schema.Fields)
+	}
+	if cap(dst) < n {
+		// Keep the column buffers beyond len(dst) for reuse.
+		dst = append(dst[:cap(dst)], make([][]Value, n-cap(dst))...)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		c := i
+		if cols != nil {
+			c = cols[i]
+		}
+		var err error
+		if dst[i], err = r.readColumn(dst[i], g, c); err != nil {
+			return dst[:0], err
 		}
 	}
-	out := make([][]Value, len(cols))
-	for i, c := range cols {
-		vals, err := r.ReadColumn(g, c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = vals
-	}
-	return out, nil
+	return dst, nil
 }
 
 // Scan iterates every row in order; fn returning false stops the scan.
+// Each row is a fresh slice the callback may retain.
 func (r *Reader) Scan(fn func(Row) bool) error {
+	var cols [][]Value // reused across groups: rows are copied out
 	for g := range r.groups {
-		cols, err := r.ReadGroup(g, nil)
-		if err != nil {
+		var err error
+		if cols, err = r.ReadGroup(g, nil, cols); err != nil {
 			return err
 		}
 		for i := 0; i < r.groups[g].rows; i++ {

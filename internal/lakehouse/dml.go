@@ -34,6 +34,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 		return 0, cost, err
 	}
 	schema := st.tbl.Schema()
+	fcols := filterColumns(schema, filters)
 	var deleted int64
 	var codec colfile.Codec // decodes every rewritten file of this delete
 	for _, f := range plan.Files {
@@ -55,7 +56,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 		}
 		var keep []colfile.Row
 		r.Scan(func(row colfile.Row) bool {
-			if rowMatches(schema, row, filters) {
+			if rowMatches(row, filters, fcols) {
 				deleted++
 			} else {
 				keep = append(keep, append(colfile.Row(nil), row...))
@@ -124,6 +125,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 		return 0, cost, err
 	}
 	schema := st.tbl.Schema()
+	fcols := filterColumns(schema, filters)
 	var updated int64
 	var codec colfile.Codec // decodes every file of this update
 	for _, f := range plan.Files {
@@ -141,7 +143,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 		var scanErr error
 		r.Scan(func(row colfile.Row) bool {
 			row = append(colfile.Row(nil), row...)
-			if rowMatches(schema, row, filters) {
+			if rowMatches(row, filters, fcols) {
 				row = set(row)
 				if err := schema.Validate(row); err != nil {
 					scanErr = err

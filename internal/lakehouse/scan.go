@@ -295,9 +295,22 @@ func fileMatches(schema colfile.Schema, f tableobj.DataFile, filters []RangeFilt
 	return filePrune(schema, f, filters) == pruneNone
 }
 
-func rowMatches(schema colfile.Schema, row colfile.Row, filters []RangeFilter) bool {
-	for _, flt := range filters {
-		c := schema.FieldIndex(flt.Column)
+// filterColumns resolves each filter's schema index once per
+// operation, aligned with filters; -1 marks an unknown column, which
+// every row and group matches.
+func filterColumns(schema colfile.Schema, filters []RangeFilter) []int {
+	idx := make([]int, len(filters))
+	for i, flt := range filters {
+		idx[i] = schema.FieldIndex(flt.Column)
+	}
+	return idx
+}
+
+// rowMatches evaluates the filters on row; idx holds their resolved
+// columns (filterColumns).
+func rowMatches(row colfile.Row, filters []RangeFilter, idx []int) bool {
+	for i, flt := range filters {
+		c := idx[i]
 		if c < 0 {
 			continue
 		}
@@ -343,9 +356,13 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, cols []int,
 		m.skippedBytes.Add(stats.SkippedBytes)
 		m.scanLat.Observe(cost)
 	}()
-	read := scanColumns(schema, filters, cols)
-	row := make(colfile.Row, schema.NumFields()) // reused across rows; fn must not retain it
-	var codec colfile.Codec                      // decodes every file of this scan
+	fcols := filterColumns(schema, filters)
+	read := scanColumns(schema.NumFields(), fcols, cols)
+	// One codec, one row and one set of column buffers serve every
+	// group of every file this scan reads; fn must not retain the row.
+	var codec colfile.Codec
+	row := make(colfile.Row, schema.NumFields())
+	var vals [][]colfile.Value
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
 		if err != nil {
@@ -357,14 +374,13 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, cols []int,
 			return stats, cost, err
 		}
 		for g := 0; g < r.NumRowGroups(); g++ {
-			if !groupMatches(schema, r, g, filters) {
+			if !groupMatches(r, g, filters, fcols) {
 				stats.SkippedBytes += r.GroupBytes(g)
 				stats.SkippedGroups++
 				continue
 			}
 			stats.ReadBytes += r.GroupBytes(g)
-			vals, err := r.ReadGroup(g, read)
-			if err != nil {
+			if vals, err = r.ReadGroup(g, read, vals); err != nil {
 				return stats, cost, err
 			}
 			for i := 0; i < r.GroupRows(g); i++ {
@@ -372,7 +388,7 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, cols []int,
 					row[c] = vals[k][i]
 				}
 				stats.RowsScanned++
-				if rowMatches(schema, row, filters) {
+				if rowMatches(row, filters, fcols) {
 					stats.RowsMatched++
 					if !fn(row) {
 						return stats, cost, nil
@@ -384,18 +400,19 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, cols []int,
 	return stats, cost, nil
 }
 
-// scanColumns resolves the columns a scan decodes, in schema order:
-// cols (nil meaning all) plus every filter column. The result is never
-// nil, so an empty set decodes nothing.
-func scanColumns(schema colfile.Schema, filters []RangeFilter, cols []int) []int {
-	need := make([]bool, schema.NumFields())
+// scanColumns resolves the columns a scan of a numFields-wide schema
+// decodes, in schema order: cols (nil meaning all) plus every resolved
+// filter column. The result is never nil, so an empty set decodes
+// nothing.
+func scanColumns(numFields int, fcols, cols []int) []int {
+	need := make([]bool, numFields)
 	for _, c := range cols {
 		if c >= 0 && c < len(need) {
 			need[c] = true
 		}
 	}
-	for _, flt := range filters {
-		if c := schema.FieldIndex(flt.Column); c >= 0 {
+	for _, c := range fcols {
+		if c >= 0 {
 			need[c] = true
 		}
 	}
@@ -408,9 +425,9 @@ func scanColumns(schema colfile.Schema, filters []RangeFilter, cols []int) []int
 	return out
 }
 
-func groupMatches(schema colfile.Schema, r *colfile.Reader, g int, filters []RangeFilter) bool {
-	for _, flt := range filters {
-		c := schema.FieldIndex(flt.Column)
+func groupMatches(r *colfile.Reader, g int, filters []RangeFilter, idx []int) bool {
+	for i, flt := range filters {
+		c := idx[i]
 		if c < 0 {
 			continue
 		}

@@ -173,6 +173,15 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 			return nil, fmt.Errorf("query: unknown group-by column %q", stmt.GroupBy)
 		}
 	}
+	where, whereOK := bindConds(schema, stmt.Where)
+	aggregate := allAggregates(stmt.Select) || stmt.GroupBy != ""
+	sumCols := make([]int, len(stmt.Select)) // schema index per SUM item, -1 elsewhere
+	for i, item := range stmt.Select {
+		sumCols[i] = -1
+		if item.Agg == AggSum {
+			sumCols[i] = schema.FieldIndex(item.Column)
+		}
+	}
 	var oom error
 	stats, execCost, err := e.lh.Scan(stmt.Table, plan, scanFilters, readColumns(schema, stmt), func(row colfile.Row) bool {
 		shipped += rowShipBytes
@@ -182,10 +191,10 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 		}
 		// The storage-side range filters are a (possibly loose) cover;
 		// the exact conjuncts are always re-checked here.
-		if !rowMatchesConds(schema, row, stmt.Where) {
+		if !whereOK || !rowMatchesConds(row, where) {
 			return true
 		}
-		if allAggregates(stmt.Select) || stmt.GroupBy != "" {
+		if aggregate {
 			key := ""
 			if gi >= 0 {
 				key = row[gi].String()
@@ -196,16 +205,13 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 				groups[key] = g
 			}
 			g.count++
-			for i, item := range stmt.Select {
-				if item.Agg == AggSum {
-					c := schema.FieldIndex(item.Column)
-					if c >= 0 {
-						switch row[c].Type {
-						case colfile.Int64:
-							g.sums[i] += float64(row[c].Int)
-						case colfile.Float64:
-							g.sums[i] += row[c].Float
-						}
+			for i, c := range sumCols {
+				if c >= 0 {
+					switch row[c].Type {
+					case colfile.Int64:
+						g.sums[i] += float64(row[c].Int)
+					case colfile.Float64:
+						g.sums[i] += row[c].Float
 					}
 				}
 			}
@@ -243,7 +249,7 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 	res.Stats.RowsScanned = stats.RowsScanned
 	m.computeBytes.Add(res.Stats.ComputeBytes)
 
-	if allAggregates(stmt.Select) || stmt.GroupBy != "" {
+	if aggregate {
 		var aggs []lakehouse.AggregateResult
 		for key, g := range groups {
 			a := lakehouse.AggregateResult{Group: key, Count: g.count}
@@ -472,20 +478,39 @@ func literalToValue(t colfile.Type, lit Literal) (colfile.Value, error) {
 	return colfile.Value{}, errors.New("query: unsupported column type")
 }
 
-// rowMatchesConds evaluates the original conjuncts (including strict
-// inequalities) compute-side.
-func rowMatchesConds(schema colfile.Schema, row colfile.Row, conds []Cond) bool {
-	for _, c := range conds {
+// boundCond is a WHERE conjunct resolved against the table schema: its
+// column index and its literal as a value of the column's type.
+type boundCond struct {
+	col int
+	op  CondOp
+	val colfile.Value
+}
+
+// bindConds resolves the conjuncts once per query. ok is false when a
+// conjunct names an unknown column or carries a literal of the wrong
+// type: such a WHERE clause matches no row.
+func bindConds(schema colfile.Schema, conds []Cond) (bound []boundCond, ok bool) {
+	bound = make([]boundCond, len(conds))
+	for i, c := range conds {
 		ci := schema.FieldIndex(c.Column)
 		if ci < 0 {
-			return false
+			return nil, false
 		}
 		v, err := literalToValue(schema.Fields[ci].Type, c.Lit)
 		if err != nil {
-			return false
+			return nil, false
 		}
-		cmp := colfile.Compare(row[ci], v)
-		switch c.Op {
+		bound[i] = boundCond{col: ci, op: c.Op, val: v}
+	}
+	return bound, true
+}
+
+// rowMatchesConds evaluates the bound conjuncts (including strict
+// inequalities) compute-side.
+func rowMatchesConds(row colfile.Row, conds []boundCond) bool {
+	for _, c := range conds {
+		cmp := colfile.Compare(row[c.col], c.val)
+		switch c.op {
 		case OpEQ:
 			if cmp != 0 {
 				return false

@@ -173,25 +173,30 @@ func decodeStats(s string, f *DataFile) error {
 	return nil
 }
 
-// readRange parses one count-prefixed sequence of min/max value pairs.
+// readRange parses one count-prefixed sequence of min/max value pairs
+// into the two halves of one slab.
 func readRange(data []byte) (min, max []colfile.Value, rest []byte, err error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, nil, nil, errors.New("tableobj: truncated stats")
 	}
 	data = data[sz:]
-	for i := uint64(0); i < n; i++ {
-		var lo, hi colfile.Value
-		lo, data, err = colfile.ReadValue(data)
-		if err != nil {
+	if n == 0 {
+		return nil, nil, data, nil
+	}
+	// Untrusted count: each encoded value costs at least two bytes.
+	if n > uint64(len(data))/4 {
+		return nil, nil, nil, errors.New("tableobj: stats count exceeds stats size")
+	}
+	slab := make([]colfile.Value, 2*n)
+	min, max = slab[:n:n], slab[n:]
+	for i := range min {
+		if min[i], data, err = colfile.ReadValue(data); err != nil {
 			return nil, nil, nil, err
 		}
-		hi, data, err = colfile.ReadValue(data)
-		if err != nil {
+		if max[i], data, err = colfile.ReadValue(data); err != nil {
 			return nil, nil, nil, err
 		}
-		min = append(min, lo)
-		max = append(max, hi)
 	}
 	return min, max, data, nil
 }
@@ -339,8 +344,11 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	if !schema.Equal(snapshotFileSchema) {
 		return s, errors.New("tableobj: snapshot batch has wrong schema")
 	}
+	// rowToFile reads the commit layout: one op column, then the
+	// snapshot's. One row serves every file.
+	full := make(colfile.Row, 1+len(snapshotFileSchema.Fields))
 	for _, r := range rows {
-		full := append(colfile.Row{colfile.StringValue("")}, r...)
+		copy(full[1:], r)
 		_, f, err := rowToFile(full)
 		if err != nil {
 			return s, err

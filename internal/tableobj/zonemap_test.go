@@ -2,6 +2,7 @@ package tableobj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -39,6 +40,22 @@ func TestStatsLegacyEncodingUnchanged(t *testing.T) {
 	}
 	if back.Zones != nil || back.Blooms != nil {
 		t.Fatal("legacy decode invented zones/blooms")
+	}
+}
+
+// A stats count larger than the bytes behind it is rejected before
+// anything is sized from it, in the file range and in a zone map alike.
+func TestStatsCountExceedingStatsSizeRejected(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	pair := colfile.AppendValue(colfile.AppendValue(nil, colfile.IntValue(1)), colfile.IntValue(2))
+	zone := append([]byte{statsV2Marker}, binary.AppendUvarint(nil, 1)...) // one-column file range
+	zone = append(zone, pair...)
+	zone = append(zone, 1) // one zone map, then its count
+	for _, enc := range [][]byte{append(huge, pair...), append(zone, huge...)} {
+		var f DataFile
+		if err := decodeStats(string(enc), &f); err == nil {
+			t.Fatalf("stats %x decoded: %+v", enc, f)
+		}
 	}
 }
 

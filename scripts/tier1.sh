@@ -99,3 +99,7 @@ go test -count=1 -run 'TestClusterElasticChaos|TestClusterElasticReplayIsBitIden
 # generation against the decoders that parse untrusted bytes.
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rowcodec/
 go test -run='^$' -fuzz=FuzzOpen -fuzztime=5s ./internal/colfile/
+go test -run='^$' -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/tableobj/
+# The benchmark is a module of its own, outside the root ./...: vet it
+# and run its unit tests (reference evaluators, determinism checks).
+(cd perfbench && go vet ./... && go test ./...)
