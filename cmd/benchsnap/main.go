@@ -144,8 +144,10 @@ type speedBench struct {
 	// around fixed produce and scan loops. ScanAllocsBaseline is the
 	// number the same scan loop measured before the zero-copy read path
 	// and scan-row reuse landed — the denominator of the enforced
-	// reduction.
+	// reduction. ProduceBytesPerOp is the heap bytes the produce loop
+	// allocates per send.
 	ProduceAllocsPerOp int64   `json:"produce_allocs_per_op"`
+	ProduceBytesPerOp  int64   `json:"produce_bytes_per_op"`
 	ScanAllocsPerOp    int64   `json:"scan_allocs_per_op"`
 	ScanAllocsBaseline int64   `json:"scan_allocs_baseline"`
 	ScanAllocsCut      float64 `json:"scan_allocs_cut"`
@@ -364,9 +366,9 @@ func run(smoke bool, out string) error {
 	fmt.Printf("benchsnap: %d messages, %d queries -> %s\n", messages, queries, out)
 	fmt.Printf("benchsnap: cache leg cold p99=%dns warm p99=%dns hit rate=%.1f%% plan bytes %d -> %d\n",
 		cb.ColdReadP99Ns, cb.WarmReadP99Ns, cb.HitRate*100, cb.PlanColdBytes, cb.PlanWarmBytes)
-	fmt.Printf("benchsnap: speed leg gc writes %d -> %d (%.1fx), scan allocs/op %d (cut %.0f%%), prune files %d -> %d (%.1fx)\n",
+	fmt.Printf("benchsnap: speed leg gc writes %d -> %d (%.1fx), produce allocs/op %d (%d B), scan allocs/op %d (cut %.0f%%), prune files %d -> %d (%.1fx)\n",
 		sb.GCBaselineWrites, sb.GCGroupedWrites, sb.GCReductionX,
-		sb.ScanAllocsPerOp, sb.ScanAllocsCut*100, sb.PruneFilesOff, sb.PruneFilesOn, sb.PruneCutX)
+		sb.ProduceAllocsPerOp, sb.ProduceBytesPerOp, sb.ScanAllocsPerOp, sb.ScanAllocsCut*100, sb.PruneFilesOff, sb.PruneFilesOn, sb.PruneCutX)
 	fmt.Printf("benchsnap: cluster leg detect=%.1fms gap=%.1fms rebalance=%.1fms (%dB, complete=%v)\n",
 		float64(clb.FailoverDetectNs)/1e6, float64(clb.ProducerGapNs)/1e6,
 		float64(clb.RebalanceNs)/1e6, clb.RebalancedBytes, clb.RebalanceDone)
@@ -885,6 +887,7 @@ func speedLeg(smoke bool) (speedBench, error) {
 	}
 	runtime.ReadMemStats(&m1)
 	sb.ProduceAllocsPerOp = int64(m1.Mallocs-m0.Mallocs) / produceOps
+	sb.ProduceBytesPerOp = int64(m1.TotalAlloc-m0.TotalAlloc) / produceOps
 	const scanOps = 20
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
@@ -948,8 +951,11 @@ func speedLeg(smoke bool) (speedBench, error) {
 		return sb, fmt.Errorf("speed leg: scan allocs/op %d above the 28000 ceiling (baseline %d, ≥30%% cut required)",
 			sb.ScanAllocsPerOp, sb.ScanAllocsBaseline)
 	}
-	if sb.ProduceAllocsPerOp > 64 {
-		return sb, fmt.Errorf("speed leg: produce allocs/op %d above the 64 ceiling (12 at pin time)", sb.ProduceAllocsPerOp)
+	if sb.ProduceAllocsPerOp > 8 {
+		return sb, fmt.Errorf("speed leg: produce allocs/op %d above the 8 ceiling (5 at pin time)", sb.ProduceAllocsPerOp)
+	}
+	if sb.ProduceBytesPerOp > 420 {
+		return sb, fmt.Errorf("speed leg: produce bytes/op %d above the 420 ceiling (376 at pin time)", sb.ProduceBytesPerOp)
 	}
 	if sb.PruneCutX < 5 {
 		return sb, fmt.Errorf("speed leg: zone maps cut files-read %.2fx, floor is 5x (%d -> %d)",

@@ -3,8 +3,8 @@
 // migration-time transform: when a log's placement group moves to the
 // manager's designated cold pool, each extent is negotiated against the
 // real codecs and the destination copies are written at compressed
-// size; migrating off the cold pool decompresses. The logical byte
-// stream (l.buf) stays authoritative and uncompressed — reads always
+// size; migrating off the cold pool decompresses. Each extent's own
+// bytes (extent.data) stay authoritative and uncompressed — reads always
 // serve raw bytes, the read cache stores uncompressed verified bytes,
 // and every CRC-32C stays keyed over uncompressed data, so
 // verify-on-read, quarantine, EC reconstruction and the scrubber work

@@ -47,7 +47,7 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 		logical += int64(len(p))
 		phys += l.red.shardSize(int64(len(p)))
 	}
-	if int64(len(l.buf))+logical > l.capacity {
+	if l.size+logical > l.capacity {
 		return nil, 0, ErrFull
 	}
 	var ok []pool.SliceID
@@ -87,9 +87,9 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 	}
 	offsets = make([]int64, len(payloads))
 	for i, p := range payloads {
-		offsets[i] = int64(len(l.buf))
-		l.buf = append(l.buf, p...)
+		offsets[i] = l.size
 		l.recordExtent(offsets[i], p, failed)
+		l.size += int64(len(p))
 	}
 	l.metrics.appendLat.Observe(max)
 	l.metrics.appendBytes.Add(logical)

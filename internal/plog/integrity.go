@@ -8,10 +8,11 @@
 // a stored checksum disagrees with the data, so silent corruption is
 // surfaced as a counter and a repair-queue entry, never as wrong bytes.
 //
-// The simulated substrate keeps the logical bytes once (PLog.buf) and
-// models per-copy state separately, so a latent bit flip on one copy is
-// modeled as damage to that copy's stored checksum: the copy's data and
-// checksum no longer agree with the payload the log is known to hold.
+// The simulated substrate keeps each extent's logical bytes once (in
+// its extent record) and models per-copy state separately, so a latent
+// bit flip on one copy is modeled as damage to that copy's stored
+// checksum: the copy's data and checksum no longer agree with the
+// payload the log is known to hold.
 // Verification recomputes the CRC from the authoritative bytes (for
 // replication and EC data columns; parity columns compare against the
 // encode-time value) and compares it with what the copy "stored".
@@ -43,9 +44,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const corruptionMask uint32 = 0xDEADBEEF
 
 // extent is one appended record: the byte range [off, off+len) of the
-// logical stream.
+// logical stream and its bytes, an exact-size copy of the payload made
+// once at append and never written again.
 type extent struct {
 	off, len int64
+	data     []byte
 }
 
 // IntegrityStats counts checksum activity on a log or across a manager.
@@ -112,14 +115,25 @@ func (l *PLog) recordExtent(off int64, data []byte, failed []int) {
 			l.copySums[i] = make(map[int]uint32)
 		}
 	}
+	own := make([]byte, len(data))
+	copy(own, data)
 	e := len(l.extents)
-	l.extents = append(l.extents, extent{off: off, len: int64(len(data))})
+	l.extents = append(l.extents, extent{off: off, len: int64(len(data)), data: own})
 	l.trueSums = append(l.trueSums, true_)
 	for i := 0; i < width; i++ {
 		if !missed[i] {
 			l.copySums[i][e] = true_[i]
 		}
 	}
+}
+
+// extentAtLocked returns the index of the first extent that ends past
+// off, or len(l.extents) when none does. Extents are appended in offset
+// order, so this is a binary search. Caller holds mu or imu.
+func (l *PLog) extentAtLocked(off int64) int {
+	return sort.Search(len(l.extents), func(i int) bool {
+		return l.extents[i].off+l.extents[i].len > off
+	})
 }
 
 // overlapping returns the extent indices intersecting [off, off+n).
@@ -129,11 +143,7 @@ func (l *PLog) overlappingLocked(off, n int64) []int {
 		return nil
 	}
 	end := off + n
-	// Extents are appended in offset order; binary-search the first one
-	// that ends past off.
-	i := sort.Search(len(l.extents), func(i int) bool {
-		return l.extents[i].off+l.extents[i].len > off
-	})
+	i := l.extentAtLocked(off)
 	var out []int
 	for ; i < len(l.extents) && l.extents[i].off < end; i++ {
 		out = append(out, i)
@@ -149,7 +159,7 @@ func (l *PLog) overlappingLocked(off, n int64) []int {
 // imu.
 func (l *PLog) expectedSumLocked(i, e int) uint32 {
 	ext := l.extents[e]
-	data := l.buf[ext.off : ext.off+ext.len]
+	data := ext.data
 	if l.codec == nil {
 		return crc32.Checksum(data, castagnoli)
 	}

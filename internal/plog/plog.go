@@ -106,10 +106,10 @@ var (
 	ErrCorrupt = errors.New("plog: checksum mismatch")
 )
 
-// PLog is one append-only persistence unit. The logical byte stream is
-// retained in memory (the simulated substrate's stand-in for the disk
-// medium); redundancy is charged to the placement disks so space and time
-// accounting match the policy.
+// PLog is one append-only persistence unit. Each appended extent keeps
+// its own bytes in memory (the simulated substrate's stand-in for the
+// disk medium); redundancy is charged to the placement disks so space and
+// time accounting match the policy.
 type PLog struct {
 	id       ID
 	capacity int64
@@ -119,7 +119,7 @@ type PLog struct {
 
 	mu     sync.RWMutex
 	slices []*pool.Slice
-	buf    []byte
+	size   int64 // logical bytes appended: the end of the last extent
 	sealed bool
 	// destroyed is set by Manager.Destroy under mu. A destroyed log's
 	// slices have been freed; late operations that raced the destroy
@@ -133,7 +133,9 @@ type PLog struct {
 
 	// Integrity state (see integrity.go). Guarded by imu, not mu, so the
 	// fault injector can corrupt copies from pool-hook context; never
-	// hold imu while doing pool I/O.
+	// hold imu while doing pool I/O. extents is the exception: it is
+	// appended under both mu and imu, so a holder of either lock sees a
+	// consistent view of it.
 	imu      sync.Mutex
 	extents  []extent
 	trueSums [][]uint32       // [extent][copy] expected checksums
@@ -180,6 +182,10 @@ type PLog struct {
 	// taking fmu, never the reverse.
 	fmu     sync.Mutex
 	fillVer uint64
+
+	// spanning points at the manager's count of reads that crossed an
+	// extent boundary and so had to be assembled into a fresh slice.
+	spanning *atomic.Int64
 }
 
 // logMetrics is the plog layer's obs instrument set, shared by every
@@ -207,7 +213,7 @@ func (l *PLog) ID() ID { return l.id }
 func (l *PLog) Size() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return int64(len(l.buf))
+	return l.size
 }
 
 // Capacity returns the log's fixed address space.
@@ -268,10 +274,10 @@ func (l *PLog) AppendSpan(data []byte, sp *obs.Span) (offset int64, cost time.Du
 	if l.sealed {
 		return 0, 0, ErrSealed
 	}
-	if int64(len(l.buf))+int64(len(data)) > l.capacity {
+	if l.size+int64(len(data)) > l.capacity {
 		return 0, 0, ErrFull
 	}
-	offset = int64(len(l.buf))
+	offset = l.size
 	per := l.red.shardSize(int64(len(data)))
 	type landed struct {
 		id pool.SliceID
@@ -310,8 +316,8 @@ func (l *PLog) AppendSpan(data []byte, sp *obs.Span) (offset int64, cost time.Du
 		}
 		l.stale[i] += per
 	}
-	l.buf = append(l.buf, data...)
 	l.recordExtent(offset, data, failed)
+	l.size += int64(len(data))
 	l.metrics.appendLat.Observe(max)
 	l.metrics.appendBytes.Add(int64(len(data)))
 	if len(failed) > 0 {
@@ -335,13 +341,15 @@ func (l *PLog) AppendSpan(data []byte, sp *obs.Span) (offset int64, cost time.Du
 // ErrUnavailable only when the policy's fault tolerance is exceeded —
 // corrupt bytes are never returned while verification is on.
 //
-// Borrow discipline: the returned slice is a read-only borrow of the
-// log's immutable byte stream (or of a shared cache entry) — callers
-// MUST NOT mutate it. The log is append-only and the slice is
-// capacity-capped, so the borrow stays valid and stable forever, even
-// across concurrent appends, seals and migrations; verified extent
-// bytes flow to the gateway and query scan with zero intermediate
-// copies. A caller that needs a private, mutable buffer uses ReadCopy.
+// Borrow discipline: the returned slice is a read-only borrow of one
+// extent's immutable bytes (or of a shared cache entry) — callers MUST
+// NOT mutate it. An extent's bytes are written once, at append, and the
+// slice is capacity-capped, so the borrow stays valid and stable
+// forever, even across concurrent appends, seals and migrations, and it
+// keeps only that extent alive; verified extent bytes flow to the
+// gateway and query scan with zero intermediate copies. A range that
+// spans extents is assembled into a fresh slice instead. A caller that
+// needs a private, mutable buffer uses ReadCopy.
 func (l *PLog) Read(offset, n int64) (data []byte, cost time.Duration, err error) {
 	data, cost, _, err = l.readThrough(offset, n)
 	return data, cost, err
@@ -506,7 +514,7 @@ func (l *PLog) ReadCtx(offset, n int64, rc *resil.Ctx) (data []byte, cost time.D
 func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if offset < 0 || n < 0 || offset+n > int64(len(l.buf)) {
+	if offset < 0 || n < 0 || offset+n > l.size {
 		return nil, 0, ErrOutOfRange
 	}
 	verify := l.noVerify == nil || !l.noVerify.Load()
@@ -558,7 +566,7 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 				}
 			} else if bad := l.corruptIn(i, offset, n); bad >= 0 {
 				// No integrity layer: the corrupt copy is served as-is.
-				return l.corruptBytes(l.buf[offset:offset+n], offset, bad), cost, nil
+				return l.corruptBytes(l.bytesLocked(offset, n), offset, bad), cost, nil
 			}
 			if fellBack {
 				l.imu.Lock()
@@ -571,9 +579,7 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 			if saved := l.hedgeLocked(i, offset, n, devN, decCost, d, verify); saved > 0 {
 				cost -= saved
 			}
-			// Zero-copy borrow: buf is append-only, so this full-capped
-			// subslice stays valid and immutable even as the log grows.
-			return l.buf[offset : offset+n : offset+n], cost, nil
+			return l.bytesLocked(offset, n), cost, nil
 		}
 		if lastErr == nil {
 			lastErr = errors.New("all replicas stale")
@@ -625,17 +631,41 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 		if corruptServed >= 0 {
 			// No integrity layer: a corrupt shard column contributed to the
 			// decode, so the joined payload comes out wrong.
-			return l.corruptBytes(l.buf[offset:offset+n], offset, corruptServed), cost, nil
+			return l.corruptBytes(l.bytesLocked(offset, n), offset, corruptServed), cost, nil
 		}
 		if fellBack {
 			l.imu.Lock()
 			l.integ.FallbackReads++
 			l.imu.Unlock()
 		}
-		// Zero-copy borrow: see the Replicate branch.
-		return l.buf[offset : offset+n : offset+n], cost, nil
+		return l.bytesLocked(offset, n), cost, nil
 	}
 	return nil, 0, fmt.Errorf("plog: unknown redundancy kind %d", l.red.Kind)
+}
+
+// bytesLocked returns the logical bytes [off, off+n), which the caller
+// has bounds-checked. A range inside one extent is a full-capped borrow
+// of that extent's own bytes; a range spanning extents is assembled
+// into a fresh slice and counted as a spanning read. Caller holds mu or
+// imu.
+func (l *PLog) bytesLocked(off, n int64) []byte {
+	i := l.extentAtLocked(off)
+	if i < len(l.extents) {
+		if ext := &l.extents[i]; off+n <= ext.off+ext.len {
+			s := off - ext.off
+			return ext.data[s : s+n : s+n]
+		}
+	}
+	out := make([]byte, 0, n)
+	for end := off + n; int64(len(out)) < n; i++ {
+		ext := &l.extents[i]
+		from := off + int64(len(out)) - ext.off
+		out = append(out, ext.data[from:min(end-ext.off, ext.len)]...)
+	}
+	if n > 0 {
+		l.spanning.Add(1)
+	}
+	return out
 }
 
 // VerifyReconstruct exercises the actual erasure decode on the log's
@@ -652,7 +682,10 @@ func (l *PLog) verifyReconstructLocked(erasures []int) error {
 	if l.red.Kind != ErasureCode {
 		return errors.New("plog: VerifyReconstruct on a replicated log")
 	}
-	data := append([]byte(nil), l.buf...)
+	data := make([]byte, 0, l.size)
+	for _, ext := range l.extents {
+		data = append(data, ext.data...)
+	}
 	shards := l.codec.Split(data)
 	stripe, err := l.codec.Encode(shards)
 	if err != nil {
@@ -735,7 +768,7 @@ func (l *PLog) MarkDiskStale(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
 	if l.destroyed || l.pool != p {
 		return 0
 	}
-	full := l.red.shardSize(int64(len(l.buf)))
+	full := l.red.shardSize(l.size)
 	var added int64
 	marked := false
 	for i, s := range l.slices {
@@ -791,7 +824,7 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
-	if l.codec != nil && len(l.buf) > 0 && len(idxs) <= l.red.M {
+	if l.codec != nil && l.size > 0 && len(idxs) <= l.red.M {
 		// Exercise the real erasure decode: erase every stale column and
 		// reconstruct the payload before charging any rebuild I/O.
 		if derr := l.verifyReconstructLocked(idxs); derr != nil {
@@ -823,7 +856,7 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 			if _, rerr := l.pool.Relocate(s.ID, exclude); rerr != nil {
 				return repaired, cost, fmt.Errorf("plog: relocate slice %d of log %d: %w", i, l.id, rerr)
 			}
-			rebuild = l.red.shardSize(int64(len(l.buf)))
+			rebuild = l.red.shardSize(l.size)
 			if l.compressed {
 				l.imu.Lock()
 				rebuild = l.copyPhysLocked()
@@ -906,9 +939,9 @@ func (l *PLog) PhysicalBytes() int64 {
 	}
 	switch l.red.Kind {
 	case Replicate:
-		return int64(len(l.buf)) * int64(l.red.Replicas)
+		return l.size * int64(l.red.Replicas)
 	default:
-		shard := (int64(len(l.buf)) + int64(l.red.K) - 1) / int64(l.red.K)
+		shard := (l.size + int64(l.red.K) - 1) / int64(l.red.K)
 		return shard * int64(l.red.K+l.red.M)
 	}
 }
@@ -940,6 +973,9 @@ type Manager struct {
 	// compr is the shared compression-on-migrate slot (see compress.go);
 	// nil until SetCompression designates a cold pool.
 	compr atomic.Pointer[comprConfig]
+	// spanning counts reads, across every log, that crossed an extent
+	// boundary (see SpanningReads).
+	spanning atomic.Int64
 
 	mu     sync.Mutex
 	logs   map[ID]*PLog
@@ -1044,6 +1080,7 @@ func (m *Manager) Create(red Redundancy) (*PLog, error) {
 		rcache:   &m.cache,
 		locality: &m.locality,
 		compr:    &m.compr,
+		spanning: &m.spanning,
 	}
 	m.logs[l.id] = l
 	return l, nil
@@ -1210,3 +1247,10 @@ func (m *Manager) LogicalBytes() int64 {
 	}
 	return total
 }
+
+// SpanningReads reports how many reads, across every log of the
+// manager, crossed an extent boundary and were assembled into a fresh
+// slice instead of served as a borrow. Stream slices and table files
+// are each one extent, so the produce, consume and query paths keep
+// this at zero.
+func (m *Manager) SpanningReads() int64 { return m.spanning.Load() }

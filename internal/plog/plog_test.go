@@ -361,7 +361,7 @@ func TestRepairStaleRelocatesFromDeadDisk(t *testing.T) {
 }
 
 // TestReadBorrowDiscipline pins the zero-copy read contract: Read
-// returns a read-only borrow of the log's byte stream (two reads of the
+// returns a read-only borrow of one extent's bytes (two reads of the
 // same range share a backing array, and the borrow stays intact across
 // later appends), while ReadCopy is the escape hatch for callers that
 // must mutate — its buffer is private, so scribbling on it cannot
@@ -381,15 +381,16 @@ func TestReadBorrowDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if &got[0] != &again[0] {
-		t.Fatal("Read copied; reads of one range should share the log's buffer")
+		t.Fatal("Read copied; reads of one range should share the extent's bytes")
 	}
 	// The borrow is full-capped: an append through it cannot land in the
-	// log's live buffer.
+	// extent's bytes.
 	if cap(got) != len(got) {
 		t.Fatalf("borrow not capacity-capped: len=%d cap=%d", len(got), cap(got))
 	}
-	// Appends after the borrow leave it intact (the logical stream is
-	// append-only; a growth reallocation copies, never overwrites).
+	// Appends after the borrow leave it intact: each append copies its
+	// payload into a new extent of its own, and an extent's bytes are
+	// never written after their append.
 	for i := 0; i < 64; i++ {
 		if _, _, err := l.Append([]byte("growgrowgrowgrow")); err != nil {
 			t.Fatal(err)

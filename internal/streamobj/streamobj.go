@@ -200,6 +200,7 @@ func (s *Store) Create(opts CreateOptions) (*Object, error) {
 		opts:        opts,
 		store:       s,
 		space:       shard.NewSpace(s.mgr, opts.Redundancy),
+		sh:          shard.ForKey([]byte(opts.Topic + "/" + strconv.FormatInt(int64(s.nextID), 10))),
 		producerSeq: make(map[string]dedupEntry),
 		cache:       make(map[int64][]Record),
 	}
@@ -267,6 +268,13 @@ type Object struct {
 	opts  CreateOptions
 	store *Store
 	space *shard.Space
+	// sh is the logical shard every slice of the object is persisted
+	// to (Figure 4 a-d): hashed from topic and object id at creation.
+	// Hashing the slice position instead would give every slice its own
+	// shard — and thus its own single-use PLog, which never fills, never
+	// chains, and never sees an append after its placement group was
+	// allocated (so a disk death could never degrade a write).
+	sh shard.ID
 
 	mu          sync.Mutex
 	nextOffset  int64
@@ -616,13 +624,6 @@ func (o *Object) flushChunkLocked(n int, sp *obs.Span) (time.Duration, error) {
 	chunk := o.buf[:n]
 	bp := sliceBufPool.Get().(*[]byte)
 	data := encodeSliceInto((*bp)[:0], chunk)
-	// Figure 4 a-d: the object is assigned to a logical shard by hashing
-	// topic and object id; the shard persists its slices through a chain
-	// of PLogs. Hashing the slice position here instead would give every
-	// slice its own shard — and thus its own single-use PLog, which never
-	// fills, never chains, and never sees an append after its placement
-	// group was allocated (so a disk death could never degrade a write).
-	sh := shard.ForKey([]byte(fmt.Sprintf("%s/%d", o.opts.Topic, o.id)))
 	// The flush rides under its own child span and never advances the
 	// parent cursor: persisting the slice into PLogs happens off the
 	// ack path, so it overlaps the acks in the trace, exactly as the
@@ -631,10 +632,11 @@ func (o *Object) flushChunkLocked(n int, sp *obs.Span) (time.Duration, error) {
 	if sp != nil {
 		fsp = sp.Child("slice.flush")
 	}
-	loc, cost, err := o.space.AppendSpan(sh, data, fsp)
-	// The PLog copies the payload into its logical stream and computes
-	// sidecar checksums within the append, so the encode buffer is dead
-	// the moment the call returns — success or not — and can be recycled.
+	loc, cost, err := o.space.AppendSpan(o.sh, data, fsp)
+	// The PLog copies the payload into the new extent's own bytes and
+	// computes sidecar checksums within the append, so the encode buffer
+	// is dead the moment the call returns — success or not — and can be
+	// recycled.
 	encoded := int64(len(data))
 	*bp = data[:0]
 	sliceBufPool.Put(bp)
@@ -696,13 +698,12 @@ func (o *Object) flushBatchLocked(counts []int, sp *obs.Span) (time.Duration, er
 		payloads[i] = encodeSliceInto((*bufs[i])[:0], o.buf[start:start+n])
 		start += n
 	}
-	sh := shard.ForKey([]byte(fmt.Sprintf("%s/%d", o.opts.Topic, o.id)))
 	var fsp *obs.Span
 	if sp != nil {
 		fsp = sp.Child("slice.flush")
 		fsp.SetAttr("group", strconv.Itoa(len(counts)))
 	}
-	locs, cost, err := o.space.AppendBatch(sh, payloads, fsp)
+	locs, cost, err := o.space.AppendBatch(o.sh, payloads, fsp)
 	encoded := make([]int64, len(payloads))
 	for i, p := range payloads {
 		encoded[i] = int64(len(p))
@@ -970,7 +971,7 @@ func (o *Object) Stats() Stats {
 // plus the timestamp. Offsets are implicit from the slice base.
 
 // sliceBufPool recycles slice-encode buffers. A payload is copied into
-// the PLog's logical stream (and checksummed) within the append call,
+// its PLog extent's own bytes (and checksummed) within the append call,
 // so the encode buffer is dead the moment the append returns and the
 // next flush can reuse it instead of allocating.
 var sliceBufPool = sync.Pool{New: func() any {

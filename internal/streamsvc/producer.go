@@ -167,9 +167,8 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 	var cost time.Duration
 	for _, idx := range idxs {
 		batch := byStream[idx]
-		obj := ts.streams[idx]
-		w := p.svc.ownerOf(topic, idx)
-		base, c, err := p.sendOne(sp, topic, idx, batch, obj, w, rc)
+		w := p.svc.ownerOf(ts.keys[idx])
+		base, c, err := p.sendOne(sp, ts, idx, batch, w, rc)
 		cost += c
 		if err != nil {
 			return nil, cost, err
@@ -200,18 +199,19 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 // first attempt and reused by every retry, so a redelivered batch —
 // whether the forward transfer or the ack was lost — lands in the
 // stream object's dedup window instead of appending twice.
-func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamobj.Record, obj *streamobj.Object, w *Worker, rc *resil.Ctx) (int64, time.Duration, error) {
+func (p *Producer) sendOne(sp *obs.Span, ts *topicState, idx int, batch []streamobj.Record, w *Worker, rc *resil.Ctx) (int64, time.Duration, error) {
+	topic, key, obj := ts.cfg.Name, ts.keys[idx], ts.streams[idx]
 	var bytes int64
 	for _, r := range batch {
 		bytes += int64(len(r.Key) + len(r.Value))
 	}
 	p.mu.Lock()
-	p.seq[streamKey(topic, idx)]++
-	seq := p.seq[streamKey(topic, idx)]
+	p.seq[key]++
+	seq := p.seq[key]
 	p.mu.Unlock()
 
 	cfg, on := p.svc.resilience()
-	ep := workerEndpoint(w.id)
+	ep := w.ep
 	var br *resil.Breaker
 	if on {
 		br = p.svc.breakerFor(ep)
@@ -490,7 +490,7 @@ func (t *Txn) Send(topic string, key, value []byte) error {
 		return fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
 	}
 	idx := routeKey(key, len(ts.streams))
-	k := streamKey(topic, idx)
+	k := ts.keys[idx]
 	part, ok := t.parts[k]
 	if !ok {
 		part = &txnPart{topic: topic, idx: idx, obj: ts.streams[idx]}
@@ -532,8 +532,8 @@ func (t *Txn) Commit() (time.Duration, error) {
 	for _, k := range keys {
 		part := t.parts[k]
 		t.p.mu.Lock()
-		t.p.seq[streamKey(part.topic, part.idx)]++
-		seq := t.p.seq[streamKey(part.topic, part.idx)]
+		t.p.seq[k]++
+		seq := t.p.seq[k]
 		t.p.mu.Unlock()
 		_, c, err := part.obj.Append(part.recs, t.p.id, seq)
 		if err != nil {

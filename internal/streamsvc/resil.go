@@ -2,7 +2,6 @@ package streamsvc
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -43,10 +42,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	return c
 }
 
-// workerEndpoint names a stream worker on the network fault plane; the
-// client side of every produce link is "client".
-func workerEndpoint(id int) string { return fmt.Sprintf("worker/%d", id) }
-
 // SetNet installs the network fault hook on every worker bus, present
 // and future: workers created by later rescales inherit it. Each worker
 // sends as endpoint "worker/<id>", so directed partitions and per-link
@@ -57,7 +52,7 @@ func (s *Service) SetNet(h bus.NetHook) {
 	workers := append([]*Worker(nil), s.workers...)
 	s.mu.Unlock()
 	for _, w := range workers {
-		w.bus.SetNet(h, workerEndpoint(w.id))
+		w.bus.SetNet(h, w.ep)
 	}
 }
 

@@ -32,6 +32,7 @@ var (
 type topicState struct {
 	cfg     TopicConfig
 	streams []*streamobj.Object
+	keys    []string // "topic/idx" routing key per stream, built once
 }
 
 // Worker is one stream worker: it owns the stream object clients for the
@@ -39,6 +40,7 @@ type topicState struct {
 // RDMA.
 type Worker struct {
 	id  int
+	ep  string // "worker/<id>": the worker's endpoint on the network fault plane
 	bus *bus.Bus
 
 	mu       sync.Mutex
@@ -255,7 +257,12 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 }
 
 func newWorker(id int) *Worker {
-	return &Worker{id: id, bus: bus.New(bus.Config{Path: bus.RDMA, Aggregation: true}), streams: map[string]bool{}}
+	return &Worker{
+		id:      id,
+		ep:      "worker/" + strconv.Itoa(id),
+		bus:     bus.New(bus.Config{Path: bus.RDMA, Aggregation: true}),
+		streams: map[string]bool{},
+	}
 }
 
 // Clock exposes the virtual clock the service charges costs against.
@@ -285,9 +292,10 @@ func (s *Service) CreateTopic(cfg TopicConfig) error {
 			return err
 		}
 		ts.streams = append(ts.streams, o)
+		ts.keys = append(ts.keys, cfg.Name+"/"+strconv.Itoa(i))
 	}
 	s.topics[cfg.Name] = ts
-	s.assignStreamsLocked(cfg.Name, cfg.StreamNum)
+	s.assignStreamsLocked(ts)
 	s.topology++
 	s.recordTopologyLocked()
 	return nil
@@ -295,17 +303,15 @@ func (s *Service) CreateTopic(cfg TopicConfig) error {
 
 // assignStreamsLocked distributes a topic's streams round-robin over the
 // workers, recording each assignment in the dispatcher KV store.
-func (s *Service) assignStreamsLocked(topic string, n int) {
-	for i := 0; i < n; i++ {
+func (s *Service) assignStreamsLocked(ts *topicState) {
+	for i, k := range ts.keys {
 		w := s.workers[i%len(s.workers)]
 		w.mu.Lock()
-		w.streams[streamKey(topic, i)] = true
+		w.streams[k] = true
 		w.mu.Unlock()
-		s.meta.Put([]byte("assign/"+streamKey(topic, i)), []byte(fmt.Sprintf("%d", w.id)))
+		s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", w.id)))
 	}
 }
-
-func streamKey(topic string, idx int) string { return fmt.Sprintf("%s/%d", topic, idx) }
 
 func (s *Service) recordTopologyLocked() {
 	s.meta.Put([]byte("topology/version"), binary.AppendVarint(nil, s.topology))
@@ -421,7 +427,7 @@ func (s *Service) SetWorkerCount(n int) (moved int, cost time.Duration) {
 		workers[i] = newWorker(i)
 		workers[i].bus.SetObs(s.reg)
 		if s.netHook != nil {
-			workers[i].bus.SetNet(s.netHook, workerEndpoint(i))
+			workers[i].bus.SetNet(s.netHook, workers[i].ep)
 		}
 		if s.qosWire != nil {
 			s.qosWire(workers[i])
@@ -430,9 +436,8 @@ func (s *Service) SetWorkerCount(n int) (moved int, cost time.Duration) {
 	// The fleet is rebuilt from scratch (fresh down flags, hash-based
 	// baseline): displaced-stream bookkeeping restarts with it.
 	s.displaced = make(map[string]int)
-	for name, ts := range s.topics {
-		for i := range ts.streams {
-			k := streamKey(name, i)
+	for _, ts := range s.topics {
+		for _, k := range ts.keys {
 			target := int(hashString(k) % uint64(n))
 			workers[target].streams[k] = true
 			if old[k] != target {
@@ -611,12 +616,12 @@ func (s *Service) TopologyVersion() int64 {
 	return s.topology
 }
 
-// ownerOf returns the worker serving a stream, skipping workers the
-// cluster has marked down; with no up owner it falls back to the first
-// up worker, then to worker 0 (whose dead links will fail the send —
-// the correct outcome when the whole fleet is down).
-func (s *Service) ownerOf(topic string, idx int) *Worker {
-	key := streamKey(topic, idx)
+// ownerOf returns the worker serving the stream with the given
+// "topic/idx" key, skipping workers the cluster has marked down; with no
+// up owner it falls back to the first up worker, then to worker 0 (whose
+// dead links will fail the send — the correct outcome when the whole
+// fleet is down).
+func (s *Service) ownerOf(key string) *Worker {
 	var firstUp *Worker
 	for _, w := range s.workers {
 		w.mu.Lock()
