@@ -2,6 +2,7 @@ package lakehouse
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"time"
 
@@ -329,15 +330,22 @@ func rowMatches(row colfile.Row, filters []RangeFilter, idx []int) bool {
 // skipping within the file) and returning the modelled read latency
 // plus the bytes actually read vs skipped.
 //
-// cols lists the schema indices of the columns fn reads (nil means
-// every column; negative indices are ignored). Only those columns and
-// the filter columns are decoded; the row's other slots hold zero
-// Values. Projection saves decode CPU and allocations only: every
-// scanned file is still read whole and ReadBytes still counts whole
-// row groups, so the modelled I/O is the same for any cols.
+// Each admitted row group is evaluated a column at a time. A filter
+// whose group [Min, Max] lies inside its bounds passes every row and is
+// settled from the statistics alone; the rest are evaluated over their
+// decoded columns into one selection of row indices. cols lists the
+// schema indices of the columns fn reads (nil means every column;
+// negative indices are ignored). A projected non-float column that the
+// statistics prove constant is filled from them; the other projected
+// columns and the unsettled filter columns are decoded, nothing else.
+// Slots outside cols always hold zero Values. Projection and settling
+// save decode CPU and allocations only: every scanned file is still
+// read whole and ReadBytes still counts whole row groups, so the
+// modelled I/O is the same for any cols.
 //
 // The row passed to fn is a reused buffer, valid only for the duration
-// of the callback: retain a copy, not the row itself.
+// of the callback: retain a copy, not the row itself, and do not modify
+// it.
 func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, cols []int, fn func(colfile.Row) bool) (ScanStats, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
@@ -356,13 +364,10 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, cols []int,
 		m.skippedBytes.Add(stats.SkippedBytes)
 		m.scanLat.Observe(cost)
 	}()
-	fcols := filterColumns(schema, filters)
-	read := scanColumns(schema.NumFields(), fcols, cols)
-	// One codec, one row and one set of column buffers serve every
+	// One codec, one row and one set of scratch buffers serve every
 	// group of every file this scan reads; fn must not retain the row.
 	var codec colfile.Codec
-	row := make(colfile.Row, schema.NumFields())
-	var vals [][]colfile.Value
+	gs := newGroupScan(schema, filters, cols)
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
 		if err != nil {
@@ -374,52 +379,203 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, cols []int,
 			return stats, cost, err
 		}
 		for g := 0; g < r.NumRowGroups(); g++ {
-			if !groupMatches(r, g, filters, fcols) {
+			if !groupMatches(r, g, filters, gs.fcols) {
 				stats.SkippedBytes += r.GroupBytes(g)
 				stats.SkippedGroups++
 				continue
 			}
 			stats.ReadBytes += r.GroupBytes(g)
-			if vals, err = r.ReadGroup(g, read, vals); err != nil {
+			more, err := gs.scan(r, g, &stats, fn)
+			if err != nil || !more {
 				return stats, cost, err
-			}
-			for i := 0; i < r.GroupRows(g); i++ {
-				for k, c := range read {
-					row[c] = vals[k][i]
-				}
-				stats.RowsScanned++
-				if rowMatches(row, filters, fcols) {
-					stats.RowsMatched++
-					if !fn(row) {
-						return stats, cost, nil
-					}
-				}
 			}
 		}
 	}
 	return stats, cost, nil
 }
 
-// scanColumns resolves the columns a scan of a numFields-wide schema
-// decodes, in schema order: cols (nil meaning all) plus every resolved
-// filter column. The result is never nil, so an empty set decodes
-// nothing.
-func scanColumns(numFields int, fcols, cols []int) []int {
-	need := make([]bool, numFields)
+// groupScan is one Scan's per-group evaluator and the scratch it
+// reuses across every row group of every file.
+type groupScan struct {
+	schema  colfile.Schema
+	filters []RangeFilter
+	fcols   []int  // filters' resolved columns (filterColumns)
+	proj    []bool // per column: fn reads it
+	settled []bool // per filter: the group's stats pass every row
+	need    []bool // per column: decoded in this group
+	slot    []int  // per column: its index in vals when decoded
+	decode  []int  // the columns decoded in this group, schema order
+	copied  []int  // the decoded projected columns
+	vals    [][]colfile.Value
+	sel     []int32 // the group's rows that pass every filter
+	row     colfile.Row
+}
+
+func newGroupScan(schema colfile.Schema, filters []RangeFilter, cols []int) *groupScan {
+	n := schema.NumFields()
+	gs := &groupScan{
+		schema:  schema,
+		filters: filters,
+		fcols:   filterColumns(schema, filters),
+		proj:    make([]bool, n),
+		settled: make([]bool, len(filters)),
+		need:    make([]bool, n),
+		slot:    make([]int, n),
+		decode:  make([]int, 0, n),
+		copied:  make([]int, 0, n),
+		row:     make(colfile.Row, n),
+	}
+	for c := range gs.proj {
+		gs.proj[c] = cols == nil
+	}
 	for _, c := range cols {
-		if c >= 0 && c < len(need) {
-			need[c] = true
+		if c >= 0 && c < n {
+			gs.proj[c] = true
 		}
 	}
-	for _, c := range fcols {
-		if c >= 0 {
-			need[c] = true
+	return gs
+}
+
+// scan evaluates row group g of r, which groupMatches admitted, and
+// hands fn the projected columns of every row that passes the filters.
+// It adds the group's rows and matches to stats, counting only up to
+// the row where fn stops, and reports whether fn asked for more.
+func (gs *groupScan) scan(r *colfile.Reader, g int, stats *ScanStats, fn func(colfile.Row) bool) (bool, error) {
+	rows := r.GroupRows(g)
+	for i, flt := range gs.filters {
+		c := gs.fcols[i]
+		gs.settled[i] = c < 0 || settles(r.GroupStats(g, c), flt)
+	}
+	for c := range gs.need {
+		gs.need[c] = false
+		if gs.proj[c] {
+			if st := r.GroupStats(g, c); constant(st, gs.schema.Fields[c].Type, rows) {
+				gs.row[c] = st.Min
+			} else {
+				gs.need[c] = true
+			}
 		}
 	}
-	out := make([]int, 0, len(need))
-	for c, ok := range need {
-		if ok || cols == nil {
-			out = append(out, c)
+	for i, c := range gs.fcols {
+		if !gs.settled[i] {
+			gs.need[c] = true
+		}
+	}
+	gs.decode, gs.copied = gs.decode[:0], gs.copied[:0]
+	for c, ok := range gs.need {
+		if !ok {
+			continue
+		}
+		gs.slot[c] = len(gs.decode)
+		gs.decode = append(gs.decode, c)
+		if gs.proj[c] {
+			gs.copied = append(gs.copied, c)
+		}
+	}
+	var err error
+	if gs.vals, err = r.ReadGroup(g, gs.decode, gs.vals); err != nil {
+		return false, err
+	}
+	stats.DecodedChunks += int64(len(gs.decode))
+
+	if cap(gs.sel) < rows {
+		gs.sel = make([]int32, 0, rows)
+	}
+	sel := gs.sel[:rows]
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	for i, flt := range gs.filters {
+		if !gs.settled[i] {
+			c := gs.fcols[i]
+			sel = selectRange(sel, gs.vals[gs.slot[c]], gs.schema.Fields[c].Type, flt)
+		}
+	}
+	for j, i := range sel {
+		for _, c := range gs.copied {
+			gs.row[c] = gs.vals[gs.slot[c]][i]
+		}
+		if !fn(gs.row) {
+			stats.RowsScanned += int64(i) + 1
+			stats.RowsMatched += int64(j) + 1
+			return false, nil
+		}
+	}
+	stats.RowsScanned += int64(rows)
+	stats.RowsMatched += int64(len(sel))
+	return true, nil
+}
+
+// settles reports whether a group's stats prove that every row passes
+// flt, by the same Compare rowMatches uses. A float group whose first
+// value is NaN has NaN stats (NaN compares equal to everything, so the
+// writer's min/max never move off it) that bound nothing, so it never
+// settles; otherwise NaN rows pass any range, as in rowMatches.
+func settles(st colfile.Stats, flt RangeFilter) bool {
+	if st.Min.Type == colfile.Float64 && (math.IsNaN(st.Min.Float) || math.IsNaN(st.Max.Float)) {
+		return false
+	}
+	return (flt.Lo == nil || colfile.Compare(st.Min, *flt.Lo) >= 0) &&
+		(flt.Hi == nil || colfile.Compare(st.Max, *flt.Hi) <= 0)
+}
+
+// constant reports whether a group's stats prove every one of its rows
+// holds st.Min. Floats are excluded: Compare treats NaN and ±0 as
+// equal, so Min == Max does not make a float column constant.
+func constant(st colfile.Stats, t colfile.Type, rows int) bool {
+	return t != colfile.Float64 && st.Min.Type == t && st.Count == int64(rows) &&
+		colfile.Compare(st.Min, st.Max) == 0
+}
+
+// selectRange keeps the rows of sel whose value in col (a column of
+// type t) lies inside flt, filtering sel in place. Int64, Float64 and
+// String columns compare natively, exactly as Compare orders them;
+// anything else, or a bound of another type, goes through Compare, so a
+// type mismatch panics as it does in rowMatches.
+func selectRange(sel []int32, col []colfile.Value, t colfile.Type, flt RangeFilter) []int32 {
+	out := sel[:0]
+	native := (flt.Lo == nil || flt.Lo.Type == t) && (flt.Hi == nil || flt.Hi.Type == t)
+	switch {
+	case native && t == colfile.Int64:
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if flt.Lo != nil {
+			lo = flt.Lo.Int
+		}
+		if flt.Hi != nil {
+			hi = flt.Hi.Int
+		}
+		for _, i := range sel {
+			if v := col[i].Int; v >= lo && v <= hi {
+				out = append(out, i)
+			}
+		}
+	case native && t == colfile.Float64:
+		// NaN on either side compares false, so it passes, as in Compare.
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if flt.Lo != nil {
+			lo = flt.Lo.Float
+		}
+		if flt.Hi != nil {
+			hi = flt.Hi.Float
+		}
+		for _, i := range sel {
+			if v := col[i].Float; !(v < lo) && !(v > hi) {
+				out = append(out, i)
+			}
+		}
+	case native && t == colfile.String:
+		for _, i := range sel {
+			v := col[i].Str
+			if (flt.Lo == nil || v >= flt.Lo.Str) && (flt.Hi == nil || v <= flt.Hi.Str) {
+				out = append(out, i)
+			}
+		}
+	default:
+		for _, i := range sel {
+			v := col[i]
+			if (flt.Lo == nil || colfile.Compare(v, *flt.Lo) >= 0) && (flt.Hi == nil || colfile.Compare(v, *flt.Hi) <= 0) {
+				out = append(out, i)
+			}
 		}
 	}
 	return out
@@ -445,6 +601,10 @@ type ScanStats struct {
 	ReadBytes     int64
 	SkippedBytes  int64
 	SkippedGroups int
+	// DecodedChunks counts the column chunks decoded: projected columns
+	// the stats do not prove constant plus unsettled filter columns,
+	// per admitted row group.
+	DecodedChunks int64
 }
 
 // AggregateResult is one group of a pushed-down aggregation.

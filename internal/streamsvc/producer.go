@@ -150,23 +150,40 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 			sp.SetAttr("tenant", p.tenant)
 		}
 	}
-	// Group records by target stream.
-	byStream := make(map[int][]streamobj.Record)
-	for _, r := range recs {
-		byStream[routeKey(r.Key, len(ts.streams))] = append(byStream[routeKey(r.Key, len(ts.streams))], r)
+	// Group records by target stream. A batch bound for one stream —
+	// every single-record send — goes out as it is, ungrouped.
+	var first [1]int
+	idxs := first[:0]
+	var byStream map[int][]streamobj.Record
+	for i, r := range recs {
+		idx := routeKey(r.Key, len(ts.streams))
+		switch {
+		case i == 0:
+			idxs = append(idxs, idx)
+		case byStream == nil && idx != idxs[0]:
+			byStream = map[int][]streamobj.Record{idxs[0]: recs[:i:i]}
+			fallthrough
+		case byStream != nil:
+			byStream[idx] = append(byStream[idx], r)
+		}
 	}
-	// Deterministic stream order: map iteration order would make retry,
-	// backoff, and breaker decisions depend on runtime map layout,
-	// breaking bit-identical chaos replay.
-	idxs := make([]int, 0, len(byStream))
-	for idx := range byStream {
-		idxs = append(idxs, idx)
+	if byStream != nil {
+		// Deterministic stream order: map iteration order would make
+		// retry, backoff, and breaker decisions depend on runtime map
+		// layout, breaking bit-identical chaos replay.
+		idxs = make([]int, 0, len(byStream))
+		for idx := range byStream {
+			idxs = append(idxs, idx)
+		}
+		sort.Ints(idxs)
 	}
-	sort.Ints(idxs)
-	var out []Message
+	out := make([]Message, 0, len(recs))
 	var cost time.Duration
 	for _, idx := range idxs {
-		batch := byStream[idx]
+		batch := recs
+		if byStream != nil {
+			batch = byStream[idx]
+		}
 		w := p.svc.ownerOf(ts.keys[idx])
 		base, c, err := p.sendOne(sp, ts, idx, batch, w, rc)
 		cost += c
